@@ -1,4 +1,4 @@
-"""Right-hand-side bound families and their evaluation into BoundResult records.
+"""Right-hand-side bounds: the bound table, its cells, and scalar references.
 
 Bound names used throughout reports:
 
@@ -10,22 +10,37 @@ Bound names used throughout reports:
   mercer             min((M-m) L|g-G|, (P-p) L|f-F|)/2
   classical_ws       second-moment bound via least concave majorants
   classical_ws_uniform  its x-free form where one is stated
+
+Each right-hand side and slack term is written once, in :data:`BOUNDS`.  The
+sweep evaluates it over every :class:`Cell` of a :class:`Block`, the one-shot
+``bounds`` command over one cell and one pair.  The scalar ``(L, f, g)``
+functions at the end are the independent reference the tests compare with.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
+from . import lagrange as lag
+from . import operators as ops
 from . import special
-from .funcspace import (RealFunction, cached_envelope, oscillation,
-                        range_on_grid)
-from .operators import PointFunctional, chebyshev_T
+from .funcspace import (DEFAULT_GRID, DEFAULT_XMAX, RealFunction,
+                        cached_envelope, oscillation, range_on_grid,
+                        uniform_grid)
+# chebyshev_T is bound here as well so that tracing can wrap it per module
+from .operators import PointFunctional, chebyshev_T  # noqa: F401
 
 __all__ = [
     "BoundResult",
+    "BOUNDS",
+    "Block",
+    "evaluate_cell",
+    "allowance",
     "gruss_quarter",
     "mercer_bound",
     "classical_ws_bound",
@@ -33,10 +48,12 @@ __all__ = [
     "new_bound_positive",
     "new_bound_signed",
     "specialized_rhs",
-    "margin_allowance",
 ]
 
 BASE_REL_TOL = 1e-9
+
+#: families whose functionals are cut at a declared tail mass
+TRUNCATED_FAMILIES = ("szasz", "baskakov")
 
 
 @dataclass(frozen=True)
@@ -69,6 +86,350 @@ class BoundResult:
             "rhs": dict(sorted(self.rhs.items())),
             "margins": dict(sorted(self.margins.items())),
         }
+
+
+# ---------------------------------------------------------------------------
+# slack terms
+
+
+def allowance(lhs, rhs, extra=0.0):
+    """Declared slack of one margin check: 1e-9 relative plus ``extra``."""
+    return BASE_REL_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))) + extra
+
+
+def truncation_slack(tail, osc_f, osc_g):
+    """The tail deficit enters T through node values, and every corpus member
+    has |f| <= 1 + osc over the truncated nodes."""
+    return 3.0 * tail * np.multiply.outer(osc_f + 1.0, osc_g + 1.0)
+
+
+def quadrature_slack(quad_n, osc_f, osc_g):
+    """Composite Simpson on quad_n panels (the mixed-measure example)."""
+    return (8.0 / quad_n) * (1.0 + np.multiply.outer(osc_f, osc_g))
+
+
+def modulus_slack(h, w_f, w_g):
+    """Sampled moduli on a grid of step h undershoot the true sup by at most
+    slope * h: h (w_f + w_g) + 4 h^2."""
+    return h * np.add.outer(w_f, w_g) + 4.0 * h * h
+
+
+# ---------------------------------------------------------------------------
+# blocks and cells
+
+
+def _rows_at(funcs, nodes: np.ndarray) -> np.ndarray:
+    return np.stack([f.values(nodes) for f in funcs])
+
+
+class Cell:
+    """One evaluation point of a block over its corpus rows.
+
+    A point cell is formed from node values ``v`` (rows x nodes) and weights
+    ``w``.  Truncated weights are divided by their sum here, so T(e0, g) is 0
+    up to rounding; the tail enters only through the declared slack.  The
+    mixed-measure cell is given T and its working-grid oscillations.
+    """
+
+    def __init__(self, block: Block, ix: int, x: float, v=None, w=None, *,
+                 t=None, osc=None, tail: float | None = None):
+        self.block, self.ix, self.x, self.tail = block, ix, float(x), tail
+        if w is not None:
+            if block.family in TRUNCATED_FAMILIES:
+                w = w / np.sum(w)
+            self.a = v @ w
+            t = (v * w) @ v.T - np.outer(self.a, self.a)
+        self.v, self.w, self.t = v, w, t
+        self.lhs = np.abs(t)
+        self.osc = v.max(axis=1) - v.min(axis=1) if osc is None else osc
+        self.osc_outer = np.outer(self.osc, self.osc)
+
+    @functools.cached_property
+    def pair_coef(self) -> float:
+        """sum_{k<l} |w_k w_l|, which is (1 - sum w^2)/2 for positive weights."""
+        ssq = float(self.w @ self.w)
+        if self.block.family == "lagrange_cheb":
+            return max(0.0, 0.5 * (np.sum(np.abs(self.w)) ** 2 - ssq))
+        return 0.5 * (1.0 - ssq)
+
+    @functools.cached_property
+    def mean_dev(self) -> np.ndarray:
+        """L|f - Lf| per row."""
+        return np.abs(self.v - self.a[:, None]) @ self.w
+
+    def anti_t(self, i: int) -> float:
+        """T(f_i, 1 - f_i) from node values; the mixed measure has L(e0) = 1
+        exactly, so there T(f, 1 - f) = -T(f, f)."""
+        if self.w is None:
+            return -float(self.t[i, i])
+        vi = self.v[i]
+        u = 1.0 - vi
+        return float(self.w @ (vi * u) - (self.w @ vi) * (self.w @ u))
+
+
+class Block:
+    """One (family, degree) over evaluation points ``xs`` and corpus rows
+    ``funcs``: the table rows that apply, what they read per block, and the
+    block's cells."""
+
+    def __init__(self, family: str, n: int, xs, funcs, *,
+                 grid_n: int = DEFAULT_GRID, x_max: float = DEFAULT_XMAX,
+                 quad_n: int = 2048, tail_eps: float = 1e-12):
+        self.family, self.n = family, n
+        self.xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        self.funcs = tuple(funcs)
+        self.names = tuple(f.name for f in self.funcs)
+        self.grid_n, self.x_max = grid_n, x_max
+        self.quad_n, self.tail_eps = quad_n, tail_eps
+        self.rows = tuple(b for b in BOUNDS if family in b.families)
+        if not self.rows:
+            raise ValueError(f"unknown family {family!r}")
+        lo, hi = self.funcs[0].domain
+        if np.any(self.xs < lo) or np.any(self.xs > hi):
+            raise ValueError(f"{family} requires x in [{lo:g}, {hi:g}]")
+        self.envelope_step = (hi - lo) / (grid_n - 1)  # finite domains only
+
+    def _envelopes(self, t) -> np.ndarray:
+        """w~(f; t) per row, for a step t or one step per x."""
+        return np.stack([cached_envelope(f, self.grid_n, self.x_max).hull_value(t)
+                         for f in self.funcs])
+
+    @functools.cached_property
+    def env_moment(self) -> np.ndarray:
+        """Envelopes at the second-moment step 2 sqrt(M2(x)), per row and x."""
+        m2 = np.array([special.second_moment(self.family, self.n, float(x))
+                       for x in self.xs])
+        return self._envelopes(2.0 * np.sqrt(np.maximum(m2, 0.0)))
+
+    @functools.cached_property
+    def env_uniform(self) -> np.ndarray:
+        """Envelopes at the x-free step: 1/sqrt(n) (bernstein), 1/n (sdelta)."""
+        return self._envelopes(1.0 / math.sqrt(self.n) if self.family == "bernstein"
+                               else 1.0 / self.n)
+
+    @functools.cached_property
+    def env_two(self) -> np.ndarray:
+        return self._envelopes(2.0)
+
+    @functools.cached_property
+    def lebesgue(self) -> float:
+        return lag.lebesgue_constant(self.n)
+
+    @functools.cached_property
+    def grid_osc(self) -> np.ndarray:
+        """Range of each row over the working grid (infinite domains cut at x_max)."""
+        lo, hi = self.funcs[0].domain
+        if math.isinf(hi):
+            hi = self.x_max
+        gv = _rows_at(self.funcs, uniform_grid(lo, hi, self.grid_n).nodes)
+        return gv.max(axis=1) - gv.min(axis=1)
+
+    def cells(self):
+        """The block's cells in x order."""
+        fam, n = self.family, self.n
+        if fam == "measure_example":
+            xq, sw = ops.simpson_weights(self.quad_n)
+            vq = _rows_at(self.funcs, xq)
+            int_v, int_prod = vq @ sw, (vq * sw) @ vq.T
+            mid = np.array([float(f.values(np.array([0.5]))[0]) for f in self.funcs])
+            for ix, a in enumerate(self.xs):
+                lf = a * int_v + (1.0 - a) * mid
+                lfg = a * int_prod + (1.0 - a) * np.outer(mid, mid)
+                yield Cell(self, ix, a, t=lfg - np.outer(lf, lf), osc=self.grid_osc)
+            return
+        if fam in TRUNCATED_FAMILIES:
+            yield from self._truncated_cells()
+            return
+        if fam == "two_point":
+            nodes = np.array([0.0, 1.0])
+        elif fam == "bbh":
+            ks = np.arange(n + 1)
+            nodes = ks / (n - ks + 1.0)
+        elif fam == "lagrange_cheb":
+            nodes = lag.chebyshev_grid(n).nodes
+        else:
+            nodes = np.arange(n + 1) / n
+        v = v_all = _rows_at(self.funcs, nodes)
+        for ix, x in enumerate(self.xs):
+            if fam == "sdelta":
+                k, u = ops._sdelta_cell(n, float(x))
+                idx, w = (([min(k, n)], np.array([1.0])) if u == 0.0
+                          else ([k, k + 1], np.array([1.0 - u, u])))
+                v = v_all[:, idx]
+            elif fam == "two_point":
+                w = np.array([1.0 - x, x])
+            elif fam == "bernstein":
+                w = ops._binomial_weights(n, float(x))
+            elif fam == "bbh":
+                w = ops._binomial_weights(n, float(x) / (1.0 + float(x)))
+            elif fam == "king":
+                w = ops._binomial_weights(n, ops.r_star(n, float(x)))
+            else:
+                w = lag.basis_weights(n, float(x))
+            yield Cell(self, ix, x, v, w)
+
+    def _truncated_cells(self):
+        n, eps = self.n, self.tail_eps
+
+        def weights_at(x: float):
+            if self.family == "szasz":
+                return ops._poisson_weights(n * x, eps)
+            return ops._negbin_weights(n, x, eps)
+
+        # node values, widened in steps of 256 nodes as the windows grow
+        size = weights_at(float(self.xs[-1]))[0].size + 8
+        v = np.empty((len(self.funcs), 0))
+        for ix, x in enumerate(self.xs):
+            w, tail = weights_at(float(x))
+            if w.size > v.shape[1]:
+                size = max(size, w.size) + 256
+                v = _rows_at(self.funcs, np.arange(size) / n)
+            yield Cell(self, ix, x, v[:, : w.size], w, tail=tail)
+
+    def margins(self, cell: Cell):
+        """(row, lower, margin, allowance) for every row at a cell; ``lower``
+        is |T|, or for a lattice row the rhs it must stay above."""
+        rhs, slack = {}, {}
+        for row in self.rows:
+            if row.lattice is None:
+                upper = rhs[row.name] = row.rhs(cell)
+                lower = cell.lhs
+            else:
+                upper, lower = rhs[row.lattice[0]], rhs[row.lattice[1]]
+            extra = 0.0
+            for term in row.slack:
+                if term not in slack:
+                    slack[term] = term(cell)
+                extra = extra + slack[term]
+            yield row, lower, upper - lower, allowance(lower, upper, extra)
+
+    def one_shot(self, operator: str, cell: Cell) -> BoundResult:
+        """What ``bounds`` prints for corpus rows 0 and 1: |T| and the gated
+        rows of the family, without lattice rows and ``sweep_only`` rows."""
+        f, g = self.names
+        rhs = {row.name: float(row.rhs(cell)[0, 1]) for row in self.rows
+               if row.gated and row.lattice is None
+               and self.family not in row.sweep_only}
+        return BoundResult(operator=operator, n=self.n, x=cell.x, f=f, g=g,
+                           lhs=float(cell.lhs[0, 1]), rhs=rhs)
+
+
+def evaluate_cell(operator: str, n: int, x: float, L: PointFunctional,
+                  f: RealFunction, g: RealFunction, family: str,
+                  grid_n: int = DEFAULT_GRID) -> BoundResult:
+    """One-shot rows of a positive family for its functional ``L`` at x."""
+    block = Block(family, n, [x], (f, g), grid_n=grid_n)
+    return block.one_shot(operator, Cell(block, 0, x, _rows_at(block.funcs, L.nodes),
+                                         L.weights))
+
+
+# ---------------------------------------------------------------------------
+# the bound table
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One row of the table: ``rhs`` maps a cell to (rows x rows) right-hand
+    sides, each ``slack`` term to an extra allowance (0 where its source is
+    absent).  A ``lattice`` row compares the rhs of two earlier rows, (upper,
+    lower), in place of an rhs and |T|.  Rows not ``gated`` are recorded only.
+    ``bounds`` prints neither of these, nor rows of the ``sweep_only`` families.
+    """
+
+    name: str
+    families: tuple[str, ...]
+    rhs: Callable[[Cell], np.ndarray] | None = None
+    slack: tuple[Callable[[Cell], object], ...] = ()
+    gated: bool = True
+    lattice: tuple[str, str] | None = None
+    sweep_only: tuple[str, ...] = ()
+
+
+def degree_coefficient(n: int) -> float:
+    """The degree-only majorant n/(2(n+1)) of the pointwise coefficient."""
+    return n / (2.0 * (n + 1.0))
+
+
+def _truncation(c: Cell):
+    return 0.0 if c.tail is None else truncation_slack(c.tail, c.osc, c.osc)
+
+
+def _quadrature(c: Cell):
+    if c.block.family != "measure_example":
+        return 0.0
+    return quadrature_slack(c.block.quad_n, c.osc, c.osc)
+
+
+def _classical_ws(name: str, families: tuple[str, ...], env) -> Bound:
+    """(1/4) w~(f; s) w~(g; s) with the modulus grid slack, ``env(c)`` giving
+    the envelope values at the step s."""
+    return Bound(name, families, lambda c: 0.25 * np.outer(env(c), env(c)),
+                 (lambda c: modulus_slack(c.block.envelope_step, env(c), env(c)),))
+
+
+def _lagrange_slack(c: Cell):
+    """The norm forms carry the modulus slack times ||L_n|| (1 + ||L_n||)."""
+    lam, w2 = c.block.lebesgue, c.block.env_two
+    return lam * (1.0 + lam) * modulus_slack(c.block.envelope_step, w2, w2)
+
+
+def _lagrange_form(name: str, coef) -> Bound:
+    """coef(n, ||L_n||) w~(f; 2) w~(g; 2), with the Lagrange modulus slack."""
+    return Bound(name, ("lagrange_cheb",),
+                 lambda c: coef(c.block.n, c.block.lebesgue)
+                 * np.outer(c.block.env_two, c.block.env_two), (_lagrange_slack,))
+
+
+def _log_coef(log2_coef: float):
+    """(1/2)(1 + (3/pi) ln n + c ln^2 n)."""
+    def coef(n: int, _lam: float) -> float:
+        ln = math.log(n)
+        return 0.5 * (1.0 + (3.0 / math.pi) * ln + log2_coef * ln * ln)
+    return coef
+
+
+_POSITIVE_POINT = ("bernstein", "sdelta", "szasz", "baskakov", "bbh", "king",
+                   "two_point")
+_FAMILY_COEF = ("bernstein", "sdelta", "szasz", "baskakov", "bbh", "king")
+
+#: every right-hand side and slack term, in evaluation order
+BOUNDS = (
+    Bound("new_osc", _POSITIVE_POINT + ("lagrange_cheb",),
+          lambda c: c.pair_coef * c.osc_outer, (_truncation,)),
+    Bound("new_osc_family", _FAMILY_COEF,
+          lambda c: specialized_rhs(c.block.family, c.block.n, c.x) * c.osc_outer,
+          (_truncation,)),
+    Bound("lattice_family_vs_new", _FAMILY_COEF, slack=(_truncation,),
+          lattice=("new_osc_family", "new_osc")),
+    Bound("new_osc_degree", ("bernstein", "king"),
+          lambda c: degree_coefficient(c.block.n) * c.osc_outer),
+    # working-grid ranges are not a theorem for the unbounded corpus members
+    Bound("new_osc_globalrange", TRUNCATED_FAMILIES,
+          lambda c: c.pair_coef * np.outer(c.block.grid_osc, c.block.grid_osc),
+          (_truncation,), gated=False),
+    Bound("gruss_quarter", _POSITIVE_POINT + ("measure_example",),
+          lambda c: 0.25 * c.osc_outer, (_truncation, _quadrature),
+          sweep_only=("measure_example",)),
+    Bound("mercer", _POSITIVE_POINT,
+          lambda c: 0.5 * np.minimum(np.outer(c.osc, c.mean_dev),
+                                     np.outer(c.mean_dev, c.osc)),
+          (_truncation,)),
+    Bound("lattice_gruss_vs_mercer", _POSITIVE_POINT, slack=(_truncation,),
+          lattice=("gruss_quarter", "mercer")),
+    _classical_ws("classical_ws", ("bernstein", "sdelta", "king"),
+                  lambda c: c.block.env_moment[:, c.ix]),
+    _classical_ws("classical_ws_uniform", ("bernstein", "sdelta"),
+                  lambda c: c.block.env_uniform),
+    _lagrange_form("classical_norm", lambda _n, lam: 0.25 * lam * (1.0 + lam)),
+    _lagrange_form("classical_log", _log_coef(2.0 / math.pi ** 2)),
+    _lagrange_form("classical_log_stated", _log_coef(2.0 / math.pi)),
+    Bound("measure_support", ("measure_example",),
+          lambda c: 0.5 * c.x * (2.0 - c.x) * c.osc_outer, (_quadrature,)),
+)
+
+
+# ---------------------------------------------------------------------------
+# scalar references
 
 
 def gruss_quarter(m: float, M: float, p: float, P: float) -> float:
@@ -158,62 +519,11 @@ def specialized_rhs(family: str, n: int, x: float | None = None) -> float:
             return 0.5
         return 0.5 * (1.0 - special.theta_baskakov(n, x))
     if family == "king":
-        return 0.25 if n == 1 else n / (2.0 * (n + 1.0))
+        return 0.25 if n == 1 else degree_coefficient(n)
     raise ValueError(f"no specialized oscillation coefficient for {family!r}")
-
-
-def margin_allowance(lhs: float, rhs: float, *,
-                     tail_eps: float = 0.0,
-                     osc_f: float = 0.0,
-                     osc_g: float = 0.0,
-                     quad_n: int | None = None) -> float:
-    """Declared slack for one margin check.
-
-    Base relative tolerance, plus a truncation allowance for the infinite
-    families (the tail deficit enters T through node values, and every corpus
-    member satisfies |f| <= 1 + osc over the truncated nodes), plus a
-    quadrature allowance for the mixed-measure example.
-    """
-    allowed = BASE_REL_TOL * max(1.0, abs(lhs), abs(rhs))
-    if tail_eps > 0.0:
-        allowed += 3.0 * tail_eps * (osc_f + 1.0) * (osc_g + 1.0)
-    if quad_n is not None:
-        allowed += (8.0 / quad_n) * (1.0 + osc_f * osc_g)
-    return allowed
 
 
 def node_ranges(L: PointFunctional, f: RealFunction, g: RealFunction):
     """Value ranges of f and g over what the functional reads."""
     nodes = L.node_set
     return range_on_grid(f, nodes), range_on_grid(g, nodes)
-
-
-def evaluate_cell(operator: str, n: int, x: float, L: PointFunctional,
-                  f: RealFunction, g: RealFunction,
-                  family: str | None = None,
-                  grid_n: int = 1001) -> BoundResult:
-    """All applicable bounds for one functional and corpus pair.
-
-    Convenience used by the CLI one-shot path; the sweep in :mod:`verify`
-    computes the same quantities in vectorized form.
-    """
-    lhs = abs(chebyshev_T(L, f, g))
-    rhs: dict[str, float] = {}
-    rhs["new_osc"] = (new_bound_positive(L, f, g) if L.positive
-                      else new_bound_signed(L, f, g))
-    if L.positive:
-        rf, rg = node_ranges(L, f, g)
-        rhs["gruss_quarter"] = gruss_quarter(rf[0], rf[1], rg[0], rg[1])
-        rhs["mercer"] = mercer_bound(L, f, g, (rf, rg))
-    if family in ("bernstein", "sdelta", "szasz", "baskakov", "bbh", "king"):
-        nodes = L.node_set
-        osc_fg = oscillation(f, nodes) * oscillation(g, nodes)
-        rhs["new_osc_family"] = specialized_rhs(family, n, x) * osc_fg
-        if family in ("bernstein", "king"):
-            rhs["new_osc_degree"] = (n / (2.0 * (n + 1.0))) * osc_fg
-    if family in _WS_FAMILIES:
-        rhs["classical_ws"] = classical_ws_bound(family, n, x, f, g, grid_n)
-        if family in ("bernstein", "sdelta"):
-            rhs["classical_ws_uniform"] = classical_ws_uniform(family, n, f, g, grid_n)
-    return BoundResult(operator=operator, n=n, x=x, f=f.name, g=g.name,
-                       lhs=lhs, rhs=rhs)

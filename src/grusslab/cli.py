@@ -9,17 +9,17 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
-from . import bounds as bnd
 from . import lagrange as lag
 from . import operators as ops
 from . import special
 from .funcspace import CORPUS_NAMES, standard_corpus
-from .verify import (FAMILY_DOMAINS, SuiteConfig, build_point_functional,
-                     conjecture_scan, run_suite, sharpness_suite)
+from .verify import (FAMILY_DOMAINS, SuiteConfig, conjecture_scan,
+                     one_shot_bounds, run_suite, sharpness_suite)
 
 __all__ = ["main"]
 
@@ -71,7 +71,6 @@ def _cmd_verify(args) -> int:
         x_max=args.xmax,
         seed=args.seed,
         conjecture_nmax=args.conjecture_nmax,
-        threads=args.threads,
     )
     report = run_suite(cfg)
     _write_out(report.to_json() + "\n", args.out)
@@ -79,7 +78,9 @@ def _cmd_verify(args) -> int:
         sweep = report.suites["bound_sweep"]
         samples = sweep.get("failure_samples") or []
         if samples:
-            worst = min(samples, key=lambda r: r["margin"])
+            # a non-finite margin is carried by name and counts as the worst
+            worst = min(samples, key=lambda r: r["margin"]
+                        if isinstance(r["margin"], float) else -math.inf)
             print(f"worst failing margin: {json.dumps(worst, sort_keys=True)}",
                   file=sys.stderr)
         else:
@@ -93,6 +94,9 @@ def _cmd_verify(args) -> int:
         for suite, body in report.suites.items():
             if not body.get("pass", True):
                 print(f"suite failed: {suite}", file=sys.stderr)
+        if report.coverage["missing"]:
+            print(f"coverage missing: {json.dumps(report.coverage['missing'], sort_keys=True)}",
+                  file=sys.stderr)
         return 1
     return 0
 
@@ -163,29 +167,8 @@ def _cmd_lagrange(args) -> int:
 
 def _cmd_bounds(args) -> int:
     spec = ops.parse_operator_spec(args.op)
-    if spec.family == "measure_example":
-        corpus = standard_corpus(FAMILY_DOMAINS[spec.family])
-        f, g = corpus[args.f], corpus[args.g]
-        t_val, rhs = ops.measure_example_T(spec.param, f, g, args.quad_n)
-        rec = bnd.BoundResult(operator=spec.spec_string(), n=spec.n,
-                              x=spec.param, f=f.name, g=g.name,
-                              lhs=abs(t_val), rhs={"measure_support": rhs})
-    elif spec.family == "lagrange_cheb":
-        corpus = standard_corpus(FAMILY_DOMAINS[spec.family])
-        f, g = corpus[args.f], corpus[args.g]
-        base = lag.lagrange_new_bound(spec.n, f, g, args.x)
-        rhs = dict(base.rhs)
-        rhs.update(lag.lagrange_classical_bound(spec.n, f, g))
-        rec = bnd.BoundResult(operator=base.operator, n=base.n, x=base.x,
-                              f=base.f, g=base.g, lhs=base.lhs, rhs=rhs)
-    else:
-        corpus = standard_corpus(FAMILY_DOMAINS[spec.family])
-        f, g = corpus[args.f], corpus[args.g]
-        x = spec.param if spec.family == "two_point" else args.x
-        L = build_point_functional(spec, x)
-        rec = bnd.evaluate_cell(spec.spec_string(), spec.n, x, L, f, g,
-                                family=spec.family if spec.family != "two_point"
-                                else None)
+    corpus = standard_corpus(FAMILY_DOMAINS[spec.family])
+    rec = one_shot_bounds(spec, args.x, corpus[args.f], corpus[args.g], args.quad_n)
     _write_out(json.dumps(rec.to_dict(), sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
@@ -234,8 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--xmax", type=float, default=50.0)
     v.add_argument("--seed", type=int, default=90210)
     v.add_argument("--conjecture-nmax", type=int, default=64)
-    v.add_argument("--threads", type=int, default=0,
-                   help="worker cap; 0 reads GRUSS_LAB_THREADS")
     v.add_argument("--out", help="report JSON path (default stdout)")
     v.set_defaults(handler=_cmd_verify)
 

@@ -1,7 +1,8 @@
 """Function corpus, oscillations, moduli of continuity and their concave envelopes.
 
 Everything in this module is pure and immutable after construction, so values
-can be shared freely between worker threads.
+can be shared freely: the corpus and its envelopes are cached and handed out
+as the same objects to every caller.
 """
 
 from __future__ import annotations
@@ -9,7 +10,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -199,11 +201,6 @@ class ModulusEnvelope:
         out = np.interp(np.clip(t, 0.0, self.diameter), self.hull_t, self.hull_y)
         return float(out) if out.ndim == 0 else out
 
-    def omega_value(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.interp(np.clip(t, 0.0, self.diameter), self.ts, self.omega)
-        return float(out) if out.ndim == 0 else out
-
 
 def concave_majorant(ts, omega) -> ModulusEnvelope:
     """Least concave piecewise-linear function dominating the samples.
@@ -280,8 +277,11 @@ def _hat_range(lo: float, hi: float) -> tuple[float, float]:
 
 def standard_corpus(domain: tuple[float, float] = (0.0, 1.0),
                     seed: int = DEFAULT_SEED,
-                    x_max: float = DEFAULT_XMAX) -> dict[str, RealFunction]:
-    """The fixed ten-member corpus adapted to a domain.
+                    x_max: float = DEFAULT_XMAX) -> Mapping[str, RealFunction]:
+    """The fixed ten-member corpus adapted to a domain, read-only.
+
+    The same (domain, seed, x_max) returns the same member objects, so
+    :func:`cached_envelope`, which is keyed on them, hits across calls.
 
     Members (published formulas, midpoint m = (lo+hi)/2 on finite domains):
       e0 = 1, e1 = x, e2 = x^2, hat = x(1-x), absmid = |x - m|,
@@ -293,7 +293,13 @@ def standard_corpus(domain: tuple[float, float] = (0.0, 1.0),
     On [0, inf) the polynomial-growth members are flagged unbounded, absmid is
     anchored at 1/2 and randlip is constant beyond x_max.
     """
-    lo, hi = float(domain[0]), float(domain[1])
+    return _corpus((float(domain[0]), float(domain[1])), int(seed), float(x_max))
+
+
+@functools.lru_cache(maxsize=64)
+def _corpus(domain: tuple[float, float], seed: int,
+            x_max: float) -> Mapping[str, RealFunction]:
+    lo, hi = domain
     infinite = math.isinf(hi)
     eff_hi = x_max if infinite else hi
     mid = 0.5 if infinite else 0.5 * (lo + hi)
@@ -338,4 +344,4 @@ def standard_corpus(domain: tuple[float, float] = (0.0, 1.0),
         "randlip": RealFunction("randlip", domain, randlip_eval,
                                 bounded=True, value_range=(float(vals.min()), float(vals.max()))),
     }
-    return members
+    return MappingProxyType(members)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundResult
 from .funcspace import NodeSet, RealFunction, cached_envelope, oscillation
 from .operators import PointFunctional, chebyshev_T
 
@@ -152,9 +151,11 @@ def rivlin_gap(n: int, grid_size: int = 4097) -> float:
     return lebesgue_constant(n, grid_size) - (2.0 / math.pi) * math.log(n)
 
 
-def lagrange_new_bound(n: int, f: RealFunction, g: RealFunction,
-                       x: float) -> BoundResult:
-    """Signed-functional oscillation bound |T| <= osc(f) osc(g) sum |l_k l_m|."""
+def lagrange_new_bound(n: int, f: RealFunction, g: RealFunction, x: float):
+    """Signed-functional oscillation bound |T| <= osc(f) osc(g) sum |l_k l_m|,
+    as a :class:`~grusslab.bounds.BoundResult`."""
+    from .bounds import BoundResult  # bounds reads this module's basis
+
     L = lagrange_basis(n, x)
     nodes = NodeSet(chebyshev_grid(n).nodes)
     lhs = abs(chebyshev_T(L, f, g))

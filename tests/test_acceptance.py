@@ -214,13 +214,14 @@ def test_criterion_9_baskakov_kernel_chain():
          f"worst step {worst:.2e}")
 
 
-def test_criterion_10_determinism(tmp_path, capsys):
+def test_criterion_10_determinism(default_run, tmp_path, capsys):
+    # the CLI defaults must build SuiteConfig(), and two full default runs
+    # (this one and the session's) must agree byte for byte
+    report, _ = default_run
     a = tmp_path / "run_a.json"
-    b = tmp_path / "run_b.json"
     assert cli_main(["verify", "--out", str(a)]) == 0
-    assert cli_main(["verify", "--out", str(b)]) == 0
     capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+    assert a.read_text() == report.to_json() + "\n"
     payload = json.loads(a.read_text())
     assert payload["pass"] is True
     _say(f"criterion 10 PASS: byte-identical reports "

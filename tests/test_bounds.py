@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from grusslab import bounds as bnd
+from grusslab import lagrange as lag
 from grusslab import operators as ops
 from grusslab import special as sp
-from grusslab.funcspace import NodeSet, oscillation, range_on_grid, uniform_grid
+from grusslab.funcspace import (NodeSet, oscillation, range_on_grid,
+                                standard_corpus, uniform_grid)
+from grusslab.verify import FAMILY_DOMAINS, build_point_functional, one_shot_bounds
 
 
 class TestGrussQuarter:
@@ -229,9 +232,74 @@ class TestBoundResult:
 
 
 def test_margin_allowance_budget():
-    base = bnd.margin_allowance(0.5, 1.0)
+    base = bnd.allowance(0.5, 1.0)
     assert base == pytest.approx(1e-9, abs=1e-12)
-    trunc = bnd.margin_allowance(0.5, 1.0, tail_eps=1e-12, osc_f=10.0, osc_g=10.0)
+    trunc = bnd.allowance(0.5, 1.0, bnd.truncation_slack(1e-12, 10.0, 10.0))
     assert trunc > base
-    quad = bnd.margin_allowance(0.5, 1.0, quad_n=2048, osc_f=1.0, osc_g=1.0)
+    quad = bnd.allowance(0.5, 1.0, bnd.quadrature_slack(2048, 1.0, 1.0))
     assert quad == pytest.approx(1e-9 + 16.0 / 2048.0, rel=1e-6)
+
+
+AGREEMENT_POINTS = {
+    "bernstein": ((3, 16), (0.0, 0.37, 0.81)),
+    "sdelta": ((3, 16), (0.0, 0.37, 0.81)),
+    "king": ((3, 16), (0.0, 0.37, 0.81)),
+    "szasz": ((3, 16), (0.0, 2.5, 40.0)),
+    "baskakov": ((3, 16), (0.0, 2.5, 40.0)),
+    "bbh": ((3, 16), (0.0, 2.5, 40.0)),
+    "two_point": ((1,), (0.0, 0.37, 1.0)),
+    "measure_example": ((1,), (0.0, 0.37, 1.0)),
+    "lagrange_cheb": ((3, 16), (-1.0, 0.23, 0.9)),
+}
+
+
+def _references(family, n, x, L, f, g):
+    """Every one-shot rhs from the scalar reference functions."""
+    if family == "measure_example":
+        return {"measure_support": ops.measure_example_T(x, f, g)[1]}
+    if family == "lagrange_cheb":
+        out = dict(lag.lagrange_classical_bound(n, f, g))
+        out["new_osc"] = bnd.new_bound_signed(L, f, g)
+        return out
+    nodes = L.node_set
+    osc_fg = oscillation(f, nodes) * oscillation(g, nodes)
+    rng = bnd.node_ranges(L, f, g)
+    out = {"new_osc": bnd.new_bound_positive(L, f, g),
+           "gruss_quarter": bnd.gruss_quarter(*rng[0], *rng[1]),
+           "mercer": bnd.mercer_bound(L, f, g, rng)}
+    if family != "two_point":
+        out["new_osc_family"] = bnd.specialized_rhs(family, n, x) * osc_fg
+    if family in ("bernstein", "king"):
+        out["new_osc_degree"] = n / (2.0 * (n + 1.0)) * osc_fg
+    if family in ("bernstein", "sdelta", "king"):
+        out["classical_ws"] = bnd.classical_ws_bound(family, n, x, f, g)
+    if family in ("bernstein", "sdelta"):
+        out["classical_ws_uniform"] = bnd.classical_ws_uniform(family, n, f, g)
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(AGREEMENT_POINTS))
+def test_one_shot_agrees_with_scalar_references(family):
+    """The table's one-shot rhs against the scalar (L, f, g) references, over
+    every corpus pair, to 1e-12 relative plus the declared truncation slack."""
+    corpus = standard_corpus(FAMILY_DOMAINS[family])
+    degrees, xs = AGREEMENT_POINTS[family]
+    for n in degrees:
+        for x in xs:
+            param = x if family in ("two_point", "measure_example") else None
+            spec = ops.OperatorSpec(family, n, param)
+            L = None if family == "measure_example" else build_point_functional(spec, x)
+            for f in corpus.values():
+                for g in corpus.values():
+                    got = one_shot_bounds(spec, x, f, g).rhs
+                    want = _references(family, n, x, L, f, g)
+                    assert set(got) == set(want)
+                    slack = 0.0
+                    if family in bnd.TRUNCATED_FAMILIES:
+                        nodes = L.node_set
+                        slack = bnd.truncation_slack(
+                            L.tail_mass_bound, oscillation(f, nodes), oscillation(g, nodes))
+                    for name, ref in want.items():
+                        tol = 1e-12 * max(abs(got[name]), abs(ref)) + slack
+                        assert abs(got[name] - ref) <= tol, (family, n, x, f.name,
+                                                             g.name, name, got[name], ref)

@@ -87,6 +87,58 @@ class TestBoundsCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("args", [
+        ["--op", "bernstein:4", "--x", "1.5"],
+        ["--op", "szasz:4", "--x", "-1"],
+        ["--op", "lagrange_cheb:4", "--x", "2"],
+        ["--op", "measure_example:1:1.5"],
+    ])
+    def test_out_of_domain_fails(self, args, capsys):
+        code, out, err = run_cli(["bounds"] + args, capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("op,x,keys", [
+        ("bernstein:8", "0.3", {"new_osc", "new_osc_family", "new_osc_degree",
+                                "gruss_quarter", "mercer", "classical_ws",
+                                "classical_ws_uniform"}),
+        ("sdelta:8", "0.3", {"new_osc", "new_osc_family", "gruss_quarter", "mercer",
+                             "classical_ws", "classical_ws_uniform"}),
+        ("king:8", "0.3", {"new_osc", "new_osc_family", "new_osc_degree",
+                           "gruss_quarter", "mercer", "classical_ws"}),
+        ("szasz:8", "3.5", {"new_osc", "new_osc_family", "gruss_quarter", "mercer"}),
+        ("baskakov:8", "3.5", {"new_osc", "new_osc_family", "gruss_quarter", "mercer"}),
+        ("bbh:8", "3.5", {"new_osc", "new_osc_family", "gruss_quarter", "mercer"}),
+        ("two_point:1:0.3", "0.5", {"new_osc", "gruss_quarter", "mercer"}),
+        ("lagrange_cheb:8", "0.3", {"new_osc", "classical_norm", "classical_log",
+                                    "classical_log_stated"}),
+        ("measure_example:1:0.3", "0.5", {"measure_support"}),
+    ])
+    def test_rhs_keys_per_family(self, op, x, keys, capsys):
+        code, out, _ = run_cli(["bounds", "--op", op, "--f", "sinpi", "--g", "e2",
+                                "--x", x], capsys)
+        assert code == 0
+        assert set(json.loads(out)["rhs"]) == keys
+
+    @pytest.mark.parametrize("op", ["szasz:64", "baskakov:64"])
+    def test_truncated_weights_renormalised(self, op, capsys):
+        # the raw truncated masses gave |T(e0, e2)| = 1.8e-8 (szasz), 2.4e-9
+        # (baskakov) against an rhs of 0
+        code, out, _ = run_cli(["bounds", "--op", op, "--f", "e0", "--g", "e2",
+                                "--x", "49.21875"], capsys)
+        assert code == 0
+        assert json.loads(out)["lhs"] < 1e-10
+
+    def test_envelopes_cached_across_calls(self, capsys):
+        from grusslab.funcspace import cached_envelope
+        cached_envelope.cache_clear()
+        for _ in range(3):
+            code, _, _ = run_cli(["bounds", "--op", "bernstein:8", "--f", "e1",
+                                  "--g", "e2", "--x", "0.3"], capsys)
+            assert code == 0
+            assert cached_envelope.cache_info().misses == 2
+
 
 class TestSpecialCommand:
     def test_central_binom_row(self, capsys):
@@ -167,6 +219,40 @@ class TestUsageErrors:
 
 
 class TestNumericFailurePath:
+    def test_nonfinite_rhs_fails_loudly(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        import numpy as np
+
+        from grusslab import bounds as bnd
+        rows = tuple(
+            dataclasses.replace(b, rhs=lambda c: np.full_like(c.lhs, np.nan))
+            if b.name == "mercer" else b for b in bnd.BOUNDS)
+        monkeypatch.setattr(bnd, "BOUNDS", rows)
+        out = tmp_path / "r.json"
+        code = main(["verify", "--families", "bernstein", "--degrees", "2",
+                     "--xgrid", "9", "--grid", "101", "--conjecture-nmax", "2",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+
+        def no_constants(name):
+            raise AssertionError(f"report holds {name}")
+        payload = json.loads(out.read_text(), parse_constant=no_constants)
+        assert payload["pass"] is False
+        sweep = payload["suites"]["bound_sweep"]
+        assert sweep["failures"] > 0
+        first = sweep["failure_samples"][0]
+        assert (first["bound"], first["operator"], first["margin"]) == \
+            ("mercer", "bernstein", "nan")
+        # no finite margin is left to name a worst one, here or in the lattice
+        # row that compares mercer with the quarter bound
+        assert payload["coverage"]["missing"] == {
+            "bernstein": ["lattice_gruss_vs_mercer", "mercer"]}
+        assert "worst failing margin" in captured.err
+        assert '"bound": "mercer"' in captured.err
+        assert '"operator": "bernstein"' in captured.err
+
     def test_failing_report_prints_witness_and_exits_one(self, tmp_path, capsys,
                                                          monkeypatch):
         import grusslab.cli as cli_mod

@@ -54,17 +54,6 @@ class TestRunSuite:
         b = run_suite(cfg).to_json()
         assert a == b
 
-    def test_thread_count_does_not_change_output(self):
-        cfg1 = SuiteConfig(families=("bernstein", "szasz"), degrees=(2, 4),
-                           x_grid=9, grid_n=101, conjecture_nmax=3, threads=1)
-        cfg4 = SuiteConfig(families=("bernstein", "szasz"), degrees=(2, 4),
-                           x_grid=9, grid_n=101, conjecture_nmax=3, threads=4)
-        a = json.loads(run_suite(cfg1).to_json())
-        b = json.loads(run_suite(cfg4).to_json())
-        a["config"].pop("threads")
-        b["config"].pop("threads")
-        assert a == b
-
     def test_report_is_valid_json_schema_one(self, fast_report):
         payload = json.loads(fast_report.to_json())
         assert payload["schema"] == 1
@@ -79,15 +68,26 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             SuiteConfig(functions=("nope",))
 
-    def test_worker_count_env(self, monkeypatch):
-        cfg = SuiteConfig(**FAST)
-        monkeypatch.delenv("GRUSS_LAB_THREADS", raising=False)
-        assert cfg.worker_count() == 1
-        monkeypatch.setenv("GRUSS_LAB_THREADS", "3")
-        assert cfg.worker_count() == 3
-        monkeypatch.setenv("GRUSS_LAB_THREADS", "junk")
-        assert cfg.worker_count() == 1
-        assert SuiteConfig(threads=2, **FAST).worker_count() == 2
+    def test_coverage_missing_fails_the_run(self, monkeypatch):
+        from grusslab import verify
+        monkeypatch.setitem(verify.FAMILY_BOUNDS, "bernstein",
+                            verify.FAMILY_BOUNDS["bernstein"] + ("no_such_bound",))
+        rep = run_suite(SuiteConfig(families=("bernstein",), degrees=(1,), x_grid=9,
+                                    grid_n=101, conjecture_nmax=2))
+        assert rep.coverage["missing"] == {"bernstein": ["no_such_bound"]}
+        assert not rep.passed
+        assert json.loads(rep.to_json())["pass"] is False
+
+    def test_truncated_weights_renormalised(self):
+        # T(e0, g) vanishes for the normalised functional; the raw truncated
+        # masses left |T(e0, e2)| = 1.8e-8 at szasz:64, x = 49.21875
+        rep = run_suite(SuiteConfig(families=("szasz", "baskakov"), degrees=(64,),
+                                    functions=("e0", "e2"), x_grid=65, grid_n=201,
+                                    conjecture_nmax=2))
+        assert rep.passed
+        worst = rep.suites["bound_sweep"]["worst_margins"]
+        for name in ("new_osc", "new_osc_family", "gruss_quarter", "mercer"):
+            assert worst[name]["margin"] > -1e-10, (name, worst[name])
 
 
 class TestConjectures:
