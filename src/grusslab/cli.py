@@ -93,7 +93,9 @@ def _cmd_verify(args) -> int:
                       file=sys.stderr)
         for suite, body in report.suites.items():
             if not body.get("pass", True):
-                print(f"suite failed: {suite}", file=sys.stderr)
+                witness = (f" worst {json.dumps(body['worst'], sort_keys=True)}"
+                           if "worst" in body else "")
+                print(f"suite failed: {suite}{witness}", file=sys.stderr)
         if report.coverage["missing"]:
             print(f"coverage missing: {json.dumps(report.coverage['missing'], sort_keys=True)}",
                   file=sys.stderr)

@@ -10,6 +10,7 @@ underflow (e.g. exp(-nx) for nx beyond ~745).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,6 +108,8 @@ class OperatorSpec:
         if self.family in ("two_point", "measure_example"):
             if self.param is None or not 0.0 <= self.param <= 1.0:
                 raise ValueError(f"{self.family} requires a parameter a in [0, 1]")
+        elif self.param is not None:
+            raise ValueError(f"{self.family} takes no parameter, got {self.param:g}")
 
     def spec_string(self) -> str:
         if self.param is None:
@@ -419,18 +422,25 @@ def chebyshev_T(L: PointFunctional, f: RealFunction, g: RealFunction) -> float:
     return float(w @ (fv * gv) - (w @ fv) * (w @ gv))
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (k, l) of every node pair k < l."""
+    k, l = np.triu_indices(size, 1)
+    k.flags.writeable = False
+    l.flags.writeable = False
+    return k, l
+
+
 def pairwise_identity(L: PointFunctional, f: RealFunction, g: RealFunction) -> float:
     """The same functional via the direct pair sum over k < l.
 
-    Kept as an explicit double sum (row-blocked) so it stays an independent
-    cross-check of :func:`chebyshev_T` rather than an algebraic rearrangement.
+    Written out as sum_{k<l} w_k w_l (f_k - f_l)(g_k - g_l), one array term
+    per node pair, so it stays an independent cross-check of
+    :func:`chebyshev_T` rather than an algebraic rearrangement.  Its memory
+    grows with the number of pairs, size (size - 1) / 2.
     """
     fv = f.values(L.nodes)
     gv = g.values(L.nodes)
     w = L.weights
-    total = 0.0
-    for k in range(w.size - 1):
-        total += float(w[k] * np.sum(
-            w[k + 1:] * (fv[k] - fv[k + 1:]) * (gv[k] - gv[k + 1:])
-        ))
-    return total
+    k, l = _pair_indices(w.size)
+    return float((w[k] * w[l] * (fv[k] - fv[l]) * (gv[k] - gv[l])).sum())

@@ -45,6 +45,37 @@ class TestVerifyCommand:
         ], capsys)
         assert code == 0
 
+    def test_non_finite_identity_fails(self, tmp_path, monkeypatch, capsys):
+        # a NaN pair sum fails the suite, where `dev > tol` alone let it pass
+        from grusslab import operators as ops
+        pair_sum = ops.pairwise_identity
+
+        def nan_for_one_pair(L, f, g):
+            if (f.name, g.name) == ("sinpi", "hat"):
+                return math.nan
+            return pair_sum(L, f, g)
+
+        monkeypatch.setattr(ops, "pairwise_identity", nan_for_one_pair)
+        out = tmp_path / "r.json"
+        code, _, err = run_cli([
+            "verify", "--families", "bernstein", "--degrees", "1,2", "--xgrid", "9",
+            "--grid", "101", "--conjecture-nmax", "2", "--out", str(out),
+        ], capsys)
+        assert code == 1
+        assert "suite failed: identity_equivalence worst {" in err
+        assert '"pair_sum": "nan"' in err
+
+        def no_constants(name):
+            raise AssertionError(f"non-JSON constant {name}")
+
+        payload = json.loads(out.read_text(), parse_constant=no_constants)
+        suite = payload["suites"]["identity_equivalence"]
+        assert suite["pass"] is False
+        worst = suite["worst"]
+        assert (worst["f"], worst["g"]) == ("sinpi", "hat")
+        assert worst["pair_sum"] == worst["deviation"] == worst["tol_ratio"] == "nan"
+        assert isinstance(worst["chebyshev_T"], float)
+
 
 class TestBoundsCommand:
     def test_two_point_example(self, capsys):
@@ -92,6 +123,8 @@ class TestBoundsCommand:
         ["--op", "szasz:4", "--x", "-1"],
         ["--op", "lagrange_cheb:4", "--x", "2"],
         ["--op", "measure_example:1:1.5"],
+        ["--op", "bernstein:8:0.3", "--x", "0.7"],
+        ["--op", "szasz:4:2"],
     ])
     def test_out_of_domain_fails(self, args, capsys):
         code, out, err = run_cli(["bounds"] + args, capsys)

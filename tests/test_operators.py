@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -286,6 +287,101 @@ class TestPairwiseIdentity:
         assert abs(t1 - t2) <= 1e-10 * max(abs(t1), abs(t2)) + 1e-13
 
 
+#: polynomial corpus members in exact arithmetic
+EXACT_MEMBERS = {
+    "e0": lambda t: Fraction(1),
+    "e1": lambda t: t,
+    "e2": lambda t: t * t,
+    "hat": lambda t: t * (1 - t),
+}
+
+
+def _exact_functional(family, n, x):
+    """Nodes and weights as Fractions, from the family's definition at x."""
+    if family == "two_point":
+        return [Fraction(0), Fraction(1)], [1 - x, x]
+    if family == "bernstein":
+        return ([Fraction(k, n) for k in range(n + 1)],
+                [math.comb(n, k) * x ** k * (1 - x) ** (n - k) for k in range(n + 1)])
+    k, u = divmod(n * x, 1)
+    if u == 0:
+        return [x], [Fraction(1)]
+    return [Fraction(int(k), n), Fraction(int(k) + 1, n)], [1 - u, u]
+
+
+def _row_loop_pair_sum(L, f, g):
+    """The row-by-row pair sum that the vectorised body replaced."""
+    fv = f.values(L.nodes)
+    gv = g.values(L.nodes)
+    w = L.weights
+    total = 0.0
+    for k in range(w.size - 1):
+        total += float(w[k] * np.sum(
+            w[k + 1:] * (fv[k] - fv[k + 1:]) * (gv[k] - gv[k + 1:])
+        ))
+    return total
+
+
+class TestPairSumOracle:
+    @pytest.mark.parametrize("family,degrees", [
+        ("two_point", (1,)), ("sdelta", (1, 2, 3, 4)), ("bernstein", (1, 2, 3, 4)),
+    ])
+    def test_exact_rational(self, family, degrees, corpus01):
+        # x = k/16 is exact in binary, so the float routes and the Fraction
+        # oracle evaluate the same functional
+        builders = {"two_point": lambda n, x: ops.two_point(x),
+                    "sdelta": ops.sdelta_at, "bernstein": ops.bernstein_at}
+        eps = Fraction(np.finfo(float).eps)
+        for n in degrees:
+            for k in range(17):
+                x = Fraction(k, 16)
+                L = builders[family](n, float(x))
+                nodes, w = _exact_functional(family, n, x)
+
+                def apply_exact(h):
+                    return sum(wk * h(t) for t, wk in zip(nodes, w))
+
+                for a, fa in EXACT_MEMBERS.items():
+                    for b, fb in EXACT_MEMBERS.items():
+                        means = apply_exact(fa) * apply_exact(fb)
+                        exact = apply_exact(lambda t: fa(t) * fb(t)) - means
+                        tol = Fraction(1, 10 ** 14) * abs(exact) + Fraction(1, 10 ** 16)
+                        where = (family, n, k, a, b)
+                        t2 = ops.pairwise_identity(L, corpus01[a], corpus01[b])
+                        assert abs(Fraction(t2) - exact) <= tol, where
+                        # L(fg) - L(f)L(g) cancels against L(f)L(g), so its
+                        # error also holds one rounding of that product
+                        t1 = ops.chebyshev_T(L, corpus01[a], corpus01[b])
+                        assert abs(Fraction(t1) - exact) <= tol + eps * abs(means), where
+
+    @pytest.mark.parametrize("family,domain", [
+        ("bernstein", (0.0, 1.0)), ("lagrange_cheb", (-1.0, 1.0)),
+    ])
+    def test_matches_row_loop(self, family, domain):
+        from grusslab.lagrange import lagrange_basis
+        build = ops.bernstein_at if family == "bernstein" else lagrange_basis
+        corpus = standard_corpus(domain)
+        eps = np.finfo(float).eps
+        for x in np.linspace(*domain, 5):
+            L = build(64, float(x))
+            scale = {nm: 1.0 + np.max(np.abs(f.values(L.nodes)))
+                     for nm, f in corpus.items()}
+            for f in corpus.values():
+                for g in corpus.values():
+                    new = ops.pairwise_identity(L, f, g)
+                    ref = _row_loop_pair_sum(L, f, g)
+                    floor = 256.0 * eps * scale[f.name] * scale[g.name]
+                    assert abs(new - ref) <= 1e-12 * abs(ref) + floor, \
+                        (family, x, f.name, g.name)
+
+    def test_pair_indices_cached_read_only(self):
+        k, l = ops._pair_indices(5)
+        assert ops._pair_indices(5)[0] is k
+        assert k.size == 10 and np.all(k < l)
+        with pytest.raises(ValueError):
+            k[0] = 1
+
+
 class TestPointFunctionalInvariants:
     @given(st.sampled_from(sorted(FAMILY_BUILDERS)), st.integers(1, 32),
            st.floats(0.0, 0.999))
@@ -328,6 +424,11 @@ class TestOperatorSpec:
             ops.OperatorSpec("two_point", 1, 1.5)
         with pytest.raises(ValueError):
             ops.OperatorSpec("bernstein", 0)
+
+    @pytest.mark.parametrize("text", ["bernstein:8:0.3", "szasz:4:2", "lagrange_cheb:4:0"])
+    def test_parameter_only_where_taken(self, text):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            ops.parse_operator_spec(text)
 
 
 def test_chebyshev_monotone_signs(corpus01):

@@ -90,6 +90,45 @@ class TestRunSuite:
             assert worst[name]["margin"] > -1e-10, (name, worst[name])
 
 
+SMALL = dict(degrees=(1, 3), x_grid=9, grid_n=101, conjecture_nmax=3)
+
+
+class TestAcrossCalls:
+    def test_envelopes_kept_across_calls(self, monkeypatch):
+        from grusslab import funcspace
+        a = run_suite(SuiteConfig(**SMALL)).to_json()
+        builds = []
+        envelope_of = funcspace.envelope_of
+        monkeypatch.setattr(funcspace, "envelope_of",
+                            lambda *args: builds.append(args) or envelope_of(*args))
+        misses = funcspace.cached_envelope.cache_info().misses
+        b = run_suite(SuiteConfig(**SMALL)).to_json()
+        assert builds == []
+        assert funcspace.cached_envelope.cache_info().misses == misses
+        assert a == b
+
+    def test_counts_per_check(self, monkeypatch):
+        # one pairwise_identity call per identity check and one _Accum.update
+        # call per (bound, x) over the whole F x F pair matrix
+        from grusslab import verify
+        calls = {"pair": 0, "update": 0}
+        pair_sum, update = ops.pairwise_identity, verify._Accum.update
+
+        def counted_pair_sum(*args):
+            calls["pair"] += 1
+            return pair_sum(*args)
+
+        def counted_update(*args, **kwargs):
+            calls["update"] += 1
+            return update(*args, **kwargs)
+
+        monkeypatch.setattr(ops, "pairwise_identity", counted_pair_sum)
+        monkeypatch.setattr(verify._Accum, "update", counted_update)
+        rep = run_suite(SuiteConfig(**SMALL))
+        assert calls["pair"] == rep.suites["identity_equivalence"]["checks"] > 0
+        assert calls["update"] * 100 == rep.suites["bound_sweep"]["margin_checks"] > 0
+
+
 class TestConjectures:
     def test_degree_one_exactly_convex(self):
         rows = conjecture_scan(1, 101)
