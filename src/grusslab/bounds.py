@@ -12,8 +12,8 @@ Bound names used throughout reports:
   classical_ws_uniform  its x-free form where one is stated
 
 Each right-hand side and slack term is written once, in :data:`BOUNDS`.  The
-sweep evaluates it over every :class:`Cell` of a :class:`Block`, the one-shot
-``bounds`` command over one cell and one pair.  The scalar ``(L, f, g)``
+sweep evaluates it over every :class:`Batch` of a :class:`Block`, the one-shot
+``bounds`` command over a batch of one point and one pair.  The scalar ``(L, f, g)``
 functions at the end are the independent reference the tests compare with.
 """
 
@@ -38,6 +38,7 @@ from .operators import PointFunctional, chebyshev_T  # noqa: F401
 __all__ = [
     "BoundResult",
     "BOUNDS",
+    "Batch",
     "Block",
     "evaluate_cell",
     "allowance",
@@ -51,6 +52,10 @@ __all__ = [
 ]
 
 BASE_REL_TOL = 1e-9
+
+#: bytes a batch of points may take per (batch, rows, max(nodes, rows)) array;
+#: a single point wider than this forms a batch of its own
+BATCH_BYTES = 256 * 1024
 
 #: families whose functionals are cut at a declared tail mass
 TRUNCATED_FAMILIES = ("szasz", "baskakov")
@@ -92,6 +97,23 @@ class BoundResult:
 # slack terms
 
 
+def _col(a):
+    """``a[..., :, None]``: the f axis of a pair matrix; a scalar passes as is."""
+    a = np.asarray(a)
+    return a[..., :, None] if a.ndim else a
+
+
+def _row(a):
+    """``a[..., None, :]``: the g axis of a pair matrix; a scalar passes as is."""
+    a = np.asarray(a)
+    return a[..., None, :] if a.ndim else a
+
+
+def _per_x(a) -> np.ndarray:
+    """A value per x as (batch, 1, 1), which scales (batch, rows, rows)."""
+    return np.asarray(a, dtype=float)[:, None, None]
+
+
 def allowance(lhs, rhs, extra=0.0):
     """Declared slack of one margin check: 1e-9 relative plus ``extra``."""
     return BASE_REL_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))) + extra
@@ -100,77 +122,103 @@ def allowance(lhs, rhs, extra=0.0):
 def truncation_slack(tail, osc_f, osc_g):
     """The tail deficit enters T through node values, and every corpus member
     has |f| <= 1 + osc over the truncated nodes."""
-    return 3.0 * tail * np.multiply.outer(osc_f + 1.0, osc_g + 1.0)
+    return 3.0 * tail * (_col(osc_f + 1.0) * _row(osc_g + 1.0))
 
 
 def quadrature_slack(quad_n, osc_f, osc_g):
     """Composite Simpson on quad_n panels (the mixed-measure example)."""
-    return (8.0 / quad_n) * (1.0 + np.multiply.outer(osc_f, osc_g))
+    return (8.0 / quad_n) * (1.0 + _col(osc_f) * _row(osc_g))
 
 
 def modulus_slack(h, w_f, w_g):
     """Sampled moduli on a grid of step h undershoot the true sup by at most
     slope * h: h (w_f + w_g) + 4 h^2."""
-    return h * np.add.outer(w_f, w_g) + 4.0 * h * h
+    return h * (_col(w_f) + _row(w_g)) + 4.0 * h * h
 
 
 # ---------------------------------------------------------------------------
-# blocks and cells
+# blocks and batches
 
 
 def _rows_at(funcs, nodes: np.ndarray) -> np.ndarray:
     return np.stack([f.values(nodes) for f in funcs])
 
 
-class Cell:
-    """One evaluation point of a block over its corpus rows.
+class Batch:
+    """Consecutive evaluation points of a block over its corpus rows.
 
-    A point cell is formed from node values ``v`` (rows x nodes) and weights
-    ``w``.  Truncated weights are divided by their sum here, so T(e0, g) is 0
-    up to rounding; the tail enters only through the declared slack.  The
-    mixed-measure cell is given T and its working-grid oscillations.
+    Every array has a leading x axis.  A point batch is formed from node
+    values ``v`` (rows, nodes), shared by its points, and weights ``w``
+    (batch, nodes), zero past each point's own nodes.  Where a point does not
+    read every node, its oscillations over its own nodes are given as
+    ``osc``, so the zero padding never enters them.  Truncated weights are
+    divided by their sum here, so T(e0, g) is 0 up to rounding; the tail
+    enters only through the declared slack.  The mixed-measure batch is
+    given T and its working-grid oscillations.
+
+    T, |T| and the rhs are (batch, rows, rows); ``osc`` is (batch, rows), or
+    (rows,) when every point reads every node; per-x coefficients are
+    (batch, 1, 1).
     """
 
-    def __init__(self, block: Block, ix: int, x: float, v=None, w=None, *,
-                 t=None, osc=None, tail: float | None = None):
-        self.block, self.ix, self.x, self.tail = block, ix, float(x), tail
+    def __init__(self, block: Block, start: int, v=None, w=None, *, osc=None,
+                 tail=None, t=None):
+        self.block, self.tail = block, tail
+        self.xs = block.xs[start:start + len(w if t is None else t)]
         if w is not None:
             if block.family in TRUNCATED_FAMILIES:
-                w = w / np.sum(w)
-            self.a = v @ w
-            t = (v * w) @ v.T - np.outer(self.a, self.a)
+                w = w / np.sum(w, axis=1, keepdims=True)
+            self.a = w @ v.T
+            t = (v * w[:, None, :]) @ v.T - _col(self.a) * _row(self.a)
+            if osc is None:
+                osc = v.max(axis=1) - v.min(axis=1)
         self.v, self.w, self.t = v, w, t
         self.lhs = np.abs(t)
-        self.osc = v.max(axis=1) - v.min(axis=1) if osc is None else osc
-        self.osc_outer = np.outer(self.osc, self.osc)
+        self.osc = osc
+        self.osc_outer = _col(osc) * _row(osc)
 
     @functools.cached_property
-    def pair_coef(self) -> float:
+    def pair_coef(self) -> np.ndarray:
         """sum_{k<l} |w_k w_l|, which is (1 - sum w^2)/2 for positive weights."""
-        ssq = float(self.w @ self.w)
+        ssq = np.einsum("bk,bk->b", self.w, self.w)
         if self.block.family == "lagrange_cheb":
-            return max(0.0, 0.5 * (np.sum(np.abs(self.w)) ** 2 - ssq))
-        return 0.5 * (1.0 - ssq)
+            return _per_x(np.maximum(0.0, 0.5 * (np.sum(np.abs(self.w), axis=1) ** 2
+                                                 - ssq)))
+        return _per_x(0.5 * (1.0 - ssq))
 
     @functools.cached_property
     def mean_dev(self) -> np.ndarray:
-        """L|f - Lf| per row."""
-        return np.abs(self.v - self.a[:, None]) @ self.w
+        """L|f - Lf| per x and row."""
+        dev = self.v - self.a[:, :, None]
+        return (np.abs(dev, out=dev) @ self.w[:, :, None])[:, :, 0]
 
-    def anti_t(self, i: int) -> float:
-        """T(f_i, 1 - f_i) from node values; the mixed measure has L(e0) = 1
-        exactly, so there T(f, 1 - f) = -T(f, f)."""
+    @functools.cached_property
+    def family_coef(self) -> np.ndarray:
+        """The per-family closed-form coefficient at each x."""
+        fam, n = self.block.family, self.block.n
+        return _per_x([specialized_rhs(fam, n, float(x)) for x in self.xs])
+
+    @functools.cached_property
+    def env_moment(self) -> np.ndarray:
+        """Envelopes at the second-moment step 2 sqrt(M2(x)), per x and row."""
+        m2 = np.array([special.second_moment(self.block.family, self.block.n, float(x))
+                       for x in self.xs])
+        return self.block.envelopes(2.0 * np.sqrt(np.maximum(m2, 0.0))).T
+
+    def anti_t(self, i: int) -> np.ndarray:
+        """T(f_i, 1 - f_i) per x from node values; the mixed measure has
+        L(e0) = 1 exactly, so there T(f, 1 - f) = -T(f, f)."""
         if self.w is None:
-            return -float(self.t[i, i])
+            return -self.t[:, i, i]
         vi = self.v[i]
         u = 1.0 - vi
-        return float(self.w @ (vi * u) - (self.w @ vi) * (self.w @ u))
+        return self.w @ (vi * u) - (self.w @ vi) * (self.w @ u)
 
 
 class Block:
     """One (family, degree) over evaluation points ``xs`` and corpus rows
     ``funcs``: the table rows that apply, what they read per block, and the
-    block's cells."""
+    block's batches."""
 
     def __init__(self, family: str, n: int, xs, funcs, *,
                  grid_n: int = DEFAULT_GRID, x_max: float = DEFAULT_XMAX,
@@ -188,28 +236,23 @@ class Block:
         if np.any(self.xs < lo) or np.any(self.xs > hi):
             raise ValueError(f"{family} requires x in [{lo:g}, {hi:g}]")
         self.envelope_step = (hi - lo) / (grid_n - 1)  # finite domains only
+        #: (first x, last x) of the batch being formed or evaluated
+        self.x_span: tuple[float, float] | None = None
 
-    def _envelopes(self, t) -> np.ndarray:
+    def envelopes(self, t) -> np.ndarray:
         """w~(f; t) per row, for a step t or one step per x."""
         return np.stack([cached_envelope(f, self.grid_n, self.x_max).hull_value(t)
                          for f in self.funcs])
 
     @functools.cached_property
-    def env_moment(self) -> np.ndarray:
-        """Envelopes at the second-moment step 2 sqrt(M2(x)), per row and x."""
-        m2 = np.array([special.second_moment(self.family, self.n, float(x))
-                       for x in self.xs])
-        return self._envelopes(2.0 * np.sqrt(np.maximum(m2, 0.0)))
-
-    @functools.cached_property
     def env_uniform(self) -> np.ndarray:
         """Envelopes at the x-free step: 1/sqrt(n) (bernstein), 1/n (sdelta)."""
-        return self._envelopes(1.0 / math.sqrt(self.n) if self.family == "bernstein"
-                               else 1.0 / self.n)
+        return self.envelopes(1.0 / math.sqrt(self.n) if self.family == "bernstein"
+                              else 1.0 / self.n)
 
     @functools.cached_property
     def env_two(self) -> np.ndarray:
-        return self._envelopes(2.0)
+        return self.envelopes(2.0)
 
     @functools.cached_property
     def lebesgue(self) -> float:
@@ -224,22 +267,38 @@ class Block:
         gv = _rows_at(self.funcs, uniform_grid(lo, hi, self.grid_n).nodes)
         return gv.max(axis=1) - gv.min(axis=1)
 
-    def cells(self):
-        """The block's cells in x order."""
+    def _batch_len(self, nodes: int) -> int:
+        """How many points of ``nodes`` nodes each keep every (batch, rows,
+        nodes) and (batch, rows, rows) array within BATCH_BYTES; at least one."""
+        rows = len(self.funcs)
+        return max(1, BATCH_BYTES // (8 * rows * max(nodes, rows)))
+
+    def _spans(self, nodes: int):
+        """(start, stop) of batches of points that read ``nodes`` nodes each."""
+        size = self._batch_len(nodes)
+        for start in range(0, len(self.xs), size):
+            stop = min(start + size, len(self.xs))
+            self.x_span = (float(self.xs[start]), float(self.xs[stop - 1]))
+            yield start, stop
+
+    def batches(self):
+        """The block's points in x order, in batches of consecutive x."""
+        if self.family == "measure_example":
+            yield from self._measure_batches()
+        elif self.family in TRUNCATED_FAMILIES:
+            yield from self._truncated_batches()
+        else:
+            yield from self._node_batches()
+
+    def _node_batches(self):
         fam, n = self.family, self.n
-        if fam == "measure_example":
-            xq, sw = ops.simpson_weights(self.quad_n)
-            vq = _rows_at(self.funcs, xq)
-            int_v, int_prod = vq @ sw, (vq * sw) @ vq.T
-            mid = np.array([float(f.values(np.array([0.5]))[0]) for f in self.funcs])
-            for ix, a in enumerate(self.xs):
-                lf = a * int_v + (1.0 - a) * mid
-                lfg = a * int_prod + (1.0 - a) * np.outer(mid, mid)
-                yield Cell(self, ix, a, t=lfg - np.outer(lf, lf), osc=self.grid_osc)
-            return
-        if fam in TRUNCATED_FAMILIES:
-            yield from self._truncated_cells()
-            return
+        weights = {
+            "two_point": lambda x: np.array([1.0 - x, x]),
+            "bernstein": lambda x: ops._binomial_weights(n, x),
+            "bbh": lambda x: ops._binomial_weights(n, x / (1.0 + x)),
+            "king": lambda x: ops._binomial_weights(n, ops.r_star(n, x)),
+            "lagrange_cheb": lambda x: lag.basis_weights(n, x),
+        }.get(fam)
         if fam == "two_point":
             nodes = np.array([0.0, 1.0])
         elif fam == "bbh":
@@ -249,26 +308,34 @@ class Block:
             nodes = lag.chebyshev_grid(n).nodes
         else:
             nodes = np.arange(n + 1) / n
-        v = v_all = _rows_at(self.funcs, nodes)
-        for ix, x in enumerate(self.xs):
+        v = _rows_at(self.funcs, nodes)
+        for start, stop in self._spans(v.shape[1]):
+            xs = self.xs[start:stop]
             if fam == "sdelta":
-                k, u = ops._sdelta_cell(n, float(x))
-                idx, w = (([min(k, n)], np.array([1.0])) if u == 0.0
-                          else ([k, k + 1], np.array([1.0 - u, u])))
-                v = v_all[:, idx]
-            elif fam == "two_point":
-                w = np.array([1.0 - x, x])
-            elif fam == "bernstein":
-                w = ops._binomial_weights(n, float(x))
-            elif fam == "bbh":
-                w = ops._binomial_weights(n, float(x) / (1.0 + float(x)))
-            elif fam == "king":
-                w = ops._binomial_weights(n, ops.r_star(n, float(x)))
+                w, osc = self._hat_weights(v, xs)
+                yield Batch(self, start, v, w, osc=osc)
             else:
-                w = lag.basis_weights(n, float(x))
-            yield Cell(self, ix, x, v, w)
+                yield Batch(self, start, v, np.stack([weights(float(x)) for x in xs]))
 
-    def _truncated_cells(self):
+    def _hat_weights(self, v: np.ndarray, xs):
+        """sdelta weights over all n + 1 knots, and the oscillations over
+        each x's own one or two knots."""
+        n = self.n
+        w = np.zeros((len(xs), n + 1))
+        lo = np.empty(len(xs), dtype=int)
+        hi = np.empty(len(xs), dtype=int)
+        for b, x in enumerate(xs):
+            k, u = ops._sdelta_cell(n, float(x))
+            if u == 0.0:
+                lo[b] = hi[b] = min(k, n)
+                w[b, lo[b]] = 1.0
+            else:
+                lo[b], hi[b] = k, k + 1
+                w[b, k], w[b, k + 1] = 1.0 - u, u
+        return w, np.abs(v[:, hi] - v[:, lo]).T
+
+    def _truncated_batches(self):
+        """Consecutive x grouped while their widest window fits the budget."""
         n, eps = self.n, self.tail_eps
 
         def weights_at(x: float):
@@ -279,48 +346,84 @@ class Block:
         # node values, widened in steps of 256 nodes as the windows grow
         size = weights_at(float(self.xs[-1]))[0].size + 8
         v = np.empty((len(self.funcs), 0))
+        start, pending, widest = 0, [], 0
         for ix, x in enumerate(self.xs):
+            self.x_span = (float(self.xs[start]), float(x))
             w, tail = weights_at(float(x))
+            if pending and len(pending) + 1 > self._batch_len(max(widest, w.size)):
+                yield self._window_batch(start, v, pending)
+                start, pending, widest = ix, [], 0
+                self.x_span = (float(x), float(x))
+            pending.append((w, tail))
+            widest = max(widest, w.size)
             if w.size > v.shape[1]:
                 size = max(size, w.size) + 256
                 v = _rows_at(self.funcs, np.arange(size) / n)
-            yield Cell(self, ix, x, v[:, : w.size], w, tail=tail)
+        yield self._window_batch(start, v, pending)
 
-    def margins(self, cell: Cell):
-        """(row, lower, margin, allowance) for every row at a cell; ``lower``
-        is |T|, or for a lattice row the rhs it must stay above."""
+    def _window_batch(self, start: int, v: np.ndarray, pending) -> Batch:
+        self.x_span = (float(self.xs[start]), float(self.xs[start + len(pending) - 1]))
+        sizes = np.array([w.size for w, _ in pending])
+        w = np.zeros((len(pending), sizes.max()))
+        for b, (wb, _) in enumerate(pending):
+            w[b, : wb.size] = wb
+        osc = np.stack([v[:, :k].max(axis=1) - v[:, :k].min(axis=1) for k in sizes])
+        return Batch(self, start, v[:, : w.shape[1]], w, osc=osc,
+                     tail=np.array([tail for _, tail in pending]))
+
+    def _measure_batches(self):
+        xq, sw = ops.simpson_weights(self.quad_n)
+        vq = _rows_at(self.funcs, xq)
+        int_v, int_prod = vq @ sw, (vq * sw) @ vq.T
+        mid = np.array([float(f.values(np.array([0.5]))[0]) for f in self.funcs])
+        for start, stop in self._spans(len(self.funcs)):
+            a = self.xs[start:stop]
+            lf = _col(a) * int_v + _col(1.0 - a) * mid
+            lfg = _per_x(a) * int_prod + _per_x(1.0 - a) * (_col(mid) * _row(mid))
+            yield Batch(self, start, t=lfg - _col(lf) * _row(lf), osc=self.grid_osc)
+
+    def evaluate(self, batch: Batch):
+        """(row, lower, margin, allowance) for every row over a batch, each
+        (batch, rows, rows); ``lower`` is |T|, or for a lattice row the rhs it
+        must stay above."""
+        shape = batch.lhs.shape
         rhs, slack = {}, {}
         for row in self.rows:
             if row.lattice is None:
-                upper = rhs[row.name] = row.rhs(cell)
-                lower = cell.lhs
+                upper = rhs[row.name] = row.rhs(batch)
+                lower = batch.lhs
             else:
-                upper, lower = rhs[row.lattice[0]], rhs[row.lattice[1]]
+                upper = rhs[row.lattice[0]]
+                lower = np.broadcast_to(rhs[row.lattice[1]], shape)
             extra = 0.0
             for term in row.slack:
                 if term not in slack:
-                    slack[term] = term(cell)
+                    slack[term] = term(batch)
                 extra = extra + slack[term]
             yield row, lower, upper - lower, allowance(lower, upper, extra)
 
-    def one_shot(self, operator: str, cell: Cell) -> BoundResult:
-        """What ``bounds`` prints for corpus rows 0 and 1: |T| and the gated
-        rows of the family, without lattice rows and ``sweep_only`` rows."""
+    def one_shot(self, operator: str, batch: Batch) -> BoundResult:
+        """What ``bounds`` prints for corpus rows 0 and 1 at a batch's first
+        x: |T| and the gated rows of the family, without lattice rows and
+        ``sweep_only`` rows."""
         f, g = self.names
-        rhs = {row.name: float(row.rhs(cell)[0, 1]) for row in self.rows
+        shape = batch.lhs.shape
+        rhs = {row.name: float(np.broadcast_to(row.rhs(batch), shape)[0, 0, 1])
+               for row in self.rows
                if row.gated and row.lattice is None
                and self.family not in row.sweep_only}
-        return BoundResult(operator=operator, n=self.n, x=cell.x, f=f, g=g,
-                           lhs=float(cell.lhs[0, 1]), rhs=rhs)
+        return BoundResult(operator=operator, n=self.n, x=float(batch.xs[0]), f=f,
+                           g=g, lhs=float(batch.lhs[0, 0, 1]), rhs=rhs)
 
 
 def evaluate_cell(operator: str, n: int, x: float, L: PointFunctional,
                   f: RealFunction, g: RealFunction, family: str,
                   grid_n: int = DEFAULT_GRID) -> BoundResult:
-    """One-shot rows of a positive family for its functional ``L`` at x."""
+    """One-shot rows of a positive family for its functional ``L`` at x: the
+    sweep's table over a batch of one."""
     block = Block(family, n, [x], (f, g), grid_n=grid_n)
-    return block.one_shot(operator, Cell(block, 0, x, _rows_at(block.funcs, L.nodes),
-                                         L.weights))
+    return block.one_shot(operator, Batch(block, 0, _rows_at(block.funcs, L.nodes),
+                                          L.weights[None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +432,18 @@ def evaluate_cell(operator: str, n: int, x: float, L: PointFunctional,
 
 @dataclass(frozen=True)
 class Bound:
-    """One row of the table: ``rhs`` maps a cell to (rows x rows) right-hand
-    sides, each ``slack`` term to an extra allowance (0 where its source is
-    absent).  A ``lattice`` row compares the rhs of two earlier rows, (upper,
-    lower), in place of an rhs and |T|.  Rows not ``gated`` are recorded only.
-    ``bounds`` prints neither of these, nor rows of the ``sweep_only`` families.
+    """One row of the table: ``rhs`` maps a batch to (batch, rows, rows)
+    right-hand sides, or to an array that broadcasts to that shape, each
+    ``slack`` term to an extra allowance (0 where its source is absent).  A
+    ``lattice`` row compares the rhs of two earlier rows, (upper, lower), in
+    place of an rhs and |T|.  Rows not ``gated`` are recorded only.  ``bounds``
+    prints neither of these, nor rows of the ``sweep_only`` families.
     """
 
     name: str
     families: tuple[str, ...]
-    rhs: Callable[[Cell], np.ndarray] | None = None
-    slack: tuple[Callable[[Cell], object], ...] = ()
+    rhs: Callable[[Batch], np.ndarray] | None = None
+    slack: tuple[Callable[[Batch], object], ...] = ()
     gated: bool = True
     lattice: tuple[str, str] | None = None
     sweep_only: tuple[str, ...] = ()
@@ -350,11 +454,11 @@ def degree_coefficient(n: int) -> float:
     return n / (2.0 * (n + 1.0))
 
 
-def _truncation(c: Cell):
-    return 0.0 if c.tail is None else truncation_slack(c.tail, c.osc, c.osc)
+def _truncation(c: Batch):
+    return 0.0 if c.tail is None else truncation_slack(_per_x(c.tail), c.osc, c.osc)
 
 
-def _quadrature(c: Cell):
+def _quadrature(c: Batch):
     if c.block.family != "measure_example":
         return 0.0
     return quadrature_slack(c.block.quad_n, c.osc, c.osc)
@@ -363,11 +467,11 @@ def _quadrature(c: Cell):
 def _classical_ws(name: str, families: tuple[str, ...], env) -> Bound:
     """(1/4) w~(f; s) w~(g; s) with the modulus grid slack, ``env(c)`` giving
     the envelope values at the step s."""
-    return Bound(name, families, lambda c: 0.25 * np.outer(env(c), env(c)),
+    return Bound(name, families, lambda c: 0.25 * _col(env(c)) * _row(env(c)),
                  (lambda c: modulus_slack(c.block.envelope_step, env(c), env(c)),))
 
 
-def _lagrange_slack(c: Cell):
+def _lagrange_slack(c: Batch):
     """The norm forms carry the modulus slack times ||L_n|| (1 + ||L_n||)."""
     lam, w2 = c.block.lebesgue, c.block.env_two
     return lam * (1.0 + lam) * modulus_slack(c.block.envelope_step, w2, w2)
@@ -377,7 +481,7 @@ def _lagrange_form(name: str, coef) -> Bound:
     """coef(n, ||L_n||) w~(f; 2) w~(g; 2), with the Lagrange modulus slack."""
     return Bound(name, ("lagrange_cheb",),
                  lambda c: coef(c.block.n, c.block.lebesgue)
-                 * np.outer(c.block.env_two, c.block.env_two), (_lagrange_slack,))
+                 * (_col(c.block.env_two) * _row(c.block.env_two)), (_lagrange_slack,))
 
 
 def _log_coef(log2_coef: float):
@@ -397,7 +501,7 @@ BOUNDS = (
     Bound("new_osc", _POSITIVE_POINT + ("lagrange_cheb",),
           lambda c: c.pair_coef * c.osc_outer, (_truncation,)),
     Bound("new_osc_family", _FAMILY_COEF,
-          lambda c: specialized_rhs(c.block.family, c.block.n, c.x) * c.osc_outer,
+          lambda c: c.family_coef * c.osc_outer,
           (_truncation,)),
     Bound("lattice_family_vs_new", _FAMILY_COEF, slack=(_truncation,),
           lattice=("new_osc_family", "new_osc")),
@@ -405,26 +509,26 @@ BOUNDS = (
           lambda c: degree_coefficient(c.block.n) * c.osc_outer),
     # working-grid ranges are not a theorem for the unbounded corpus members
     Bound("new_osc_globalrange", TRUNCATED_FAMILIES,
-          lambda c: c.pair_coef * np.outer(c.block.grid_osc, c.block.grid_osc),
+          lambda c: c.pair_coef * (_col(c.block.grid_osc) * _row(c.block.grid_osc)),
           (_truncation,), gated=False),
     Bound("gruss_quarter", _POSITIVE_POINT + ("measure_example",),
           lambda c: 0.25 * c.osc_outer, (_truncation, _quadrature),
           sweep_only=("measure_example",)),
     Bound("mercer", _POSITIVE_POINT,
-          lambda c: 0.5 * np.minimum(np.outer(c.osc, c.mean_dev),
-                                     np.outer(c.mean_dev, c.osc)),
+          lambda c: 0.5 * np.minimum(_col(c.osc) * _row(c.mean_dev),
+                                     _col(c.mean_dev) * _row(c.osc)),
           (_truncation,)),
     Bound("lattice_gruss_vs_mercer", _POSITIVE_POINT, slack=(_truncation,),
           lattice=("gruss_quarter", "mercer")),
     _classical_ws("classical_ws", ("bernstein", "sdelta", "king"),
-                  lambda c: c.block.env_moment[:, c.ix]),
+                  lambda c: c.env_moment),
     _classical_ws("classical_ws_uniform", ("bernstein", "sdelta"),
                   lambda c: c.block.env_uniform),
     _lagrange_form("classical_norm", lambda _n, lam: 0.25 * lam * (1.0 + lam)),
     _lagrange_form("classical_log", _log_coef(2.0 / math.pi ** 2)),
     _lagrange_form("classical_log_stated", _log_coef(2.0 / math.pi)),
     Bound("measure_support", ("measure_example",),
-          lambda c: 0.5 * c.x * (2.0 - c.x) * c.osc_outer, (_quadrature,)),
+          lambda c: _per_x(0.5 * c.xs * (2.0 - c.xs)) * c.osc_outer, (_quadrature,)),
 )
 
 

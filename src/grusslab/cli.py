@@ -91,16 +91,31 @@ def _cmd_verify(args) -> int:
                 name, rec = min(gated.items(), key=lambda kv: kv[1]["margin"])
                 print(f"worst margin: {name} {json.dumps(rec, sort_keys=True)}",
                       file=sys.stderr)
+        for err in sweep["block_errors"]:
+            print(f"block error: {json.dumps(err, sort_keys=True)}", file=sys.stderr)
         for suite, body in report.suites.items():
             if not body.get("pass", True):
-                witness = (f" worst {json.dumps(body['worst'], sort_keys=True)}"
-                           if "worst" in body else "")
+                worst = _suite_witness(suite, body)
+                witness = (f" worst {json.dumps(worst, sort_keys=True)}"
+                           if worst is not None else "")
                 print(f"suite failed: {suite}{witness}", file=sys.stderr)
         if report.coverage["missing"]:
             print(f"coverage missing: {json.dumps(report.coverage['missing'], sort_keys=True)}",
                   file=sys.stderr)
         return 1
     return 0
+
+
+def _suite_witness(suite: str, body: dict) -> dict | None:
+    """The record a failed suite names on stderr."""
+    if "worst" in body:
+        return body["worst"]
+    if suite == "monotone_signs":
+        return {k: body[k] for k in ("min_comonotone_T", "comonotone_witness",
+                                     "max_antimonotone_T", "antimonotone_witness")}
+    if suite == "sharpness":
+        return next(w for w in body["witnesses"] if w["gap"] == body["max_abs_gap"])
+    return None
 
 
 _SPECIAL_TABLE = {
@@ -190,9 +205,10 @@ def _cmd_conjectures(args) -> int:
 def _cmd_sharpness(args) -> int:
     rows = sharpness_suite()
     _write_out(_csv(rows, ["witness", "n", "x", "lhs", "rhs", "gap"]), args.out)
-    worst = max(r["gap"] for r in rows)
-    if worst > 1e-10:
-        print(f"equality witness off by {worst:.3e}", file=sys.stderr)
+    # a NaN gap fails this comparison as well
+    bad = [r["gap"] for r in rows if not r["gap"] <= 1e-10]
+    if bad:
+        print(f"equality witness off by {bad[0]:.3e}", file=sys.stderr)
         return 1
     return 0
 

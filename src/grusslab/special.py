@@ -139,13 +139,34 @@ def sigma_szasz(n: int, x: float) -> float:
     return acc
 
 
+#: degree n -> 2 log C(n + k - 1, k) for k = 0, 1, ..., grown by doubling as
+#: wider x ask for more terms.  Only the last degree asked for is kept: a sweep
+#: asks for one degree at a time, x ascending, and one-shot queries of many
+#: degrees would otherwise hold an array for each.
+_THETA_LOG_COEF: dict[int, np.ndarray] = {}
+
+
+def _theta_log_coef(n: int, size: int) -> np.ndarray:
+    """The x-free part 2 (lgamma(n + k) - lgamma(k + 1) - lgamma(n)) of the
+    theta terms for k < size; elementwise, so a slice equals a fresh array."""
+    coef = _THETA_LOG_COEF.get(n)
+    if coef is None or coef.size < size:
+        ks = np.arange(max(size, 2 * (0 if coef is None else coef.size)) + 0.0)
+        _THETA_LOG_COEF.clear()
+        coef = _THETA_LOG_COEF[n] = 2.0 * (gammaln(n + ks) - gammaln(ks + 1.0)
+                                           - gammaln(n))
+        coef.flags.writeable = False
+    return coef[:size]
+
+
 def theta_baskakov(n: int, x: float) -> float:
     """Squared negative-binomial kernel on the diagonal, truncated below 1e-12.
 
     Terms are C(n+k-1, k)^2 (x/(1+x))^(2k) / (1+x)^(2n), evaluated in log
     space; the cut index comes from the underlying distribution's mean plus a
     15-sigma spread, and the geometric tail at the cut is checked against the
-    1e-12 budget.
+    1e-12 budget.  The x-free log binomials of the last n are kept across
+    calls.
     """
     if x < 0.0:
         raise ValueError("theta_baskakov needs x >= 0")
@@ -155,7 +176,7 @@ def theta_baskakov(n: int, x: float) -> float:
     mean = n * x
     kcut = int(mean + 15.0 * math.sqrt(mean * (1.0 + x)) + 60.0)
     ks = np.arange(kcut + 1.0)
-    logs = 2.0 * (gammaln(n + ks) - gammaln(ks + 1.0) - gammaln(n)) \
+    logs = _theta_log_coef(n, kcut + 1) \
         + 2.0 * ks * math.log(q) - 2.0 * n * math.log1p(x)
     terms = np.exp(logs)
     rho = (q * (n + kcut) / (kcut + 1.0)) ** 2

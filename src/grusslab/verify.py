@@ -164,9 +164,9 @@ def one_shot_bounds(spec: ops.OperatorSpec, x: float, f: RealFunction,
         x = spec.param
     if spec.family in ("lagrange_cheb", "measure_example"):
         # the signed Lagrange functional and the mixed measure, which has no
-        # point form, take the sweep's own cell at one point
+        # point form, take the sweep's own batch at one point
         block = bnd.Block(spec.family, spec.n, [x], (f, g), quad_n=quad_n)
-        return block.one_shot(op, next(block.cells()))
+        return block.one_shot(op, next(block.batches()))
     return bnd.evaluate_cell(op, spec.n, x, build_point_functional(spec, x), f, g,
                              family=spec.family)
 
@@ -176,7 +176,8 @@ def one_shot_bounds(spec: ops.OperatorSpec, x: float, f: RealFunction,
 
 
 class _Accum:
-    """Worst margins, failures and sign statistics for one sweep block."""
+    """Worst margins, failures, sign statistics and the error, if any, of one
+    sweep block."""
 
     def __init__(self, family: str, n: int):
         self.family = family
@@ -186,8 +187,10 @@ class _Accum:
         self.failures_total = 0
         self.checks = 0
         self.cells = 0
-        self.com_min: float | None = None
-        self.anti_max: float | None = None
+        # (value, x) of the lowest T(e1, e1), T(e1, e2) and highest T(e1, 1 - e1)
+        self.com: tuple[float, float] | None = None
+        self.anti: tuple[float, float] | None = None
+        self.error: dict | None = None
 
     def update(self, bound: str, margins: np.ndarray, allow: np.ndarray,
                lhs: np.ndarray, x: float, names: tuple[str, ...],
@@ -225,18 +228,52 @@ class _Accum:
                     })
                 self.failures_total += int(np.sum(bad))
 
-    def sign_stats(self, t_mat: np.ndarray, t_anti: float,
+    def sign_stats(self, xs: np.ndarray, t_mat: np.ndarray, t_anti: np.ndarray,
                    names: tuple[str, ...]) -> None:
+        """Fold one batch of T (batch, rows, rows) and T(e1, 1 - e1) (batch,)
+        into the block's extrema."""
         idx = {nm: k for k, nm in enumerate(names)}
         if "e1" not in idx:
             return
-        vals = [t_mat[idx["e1"], idx["e1"]]]
-        if "e2" in idx:
-            vals.append(t_mat[idx["e1"], idx["e2"]])
-        lo = float(min(vals))
-        self.com_min = lo if self.com_min is None else min(self.com_min, lo)
-        self.anti_max = (t_anti if self.anti_max is None
-                         else max(self.anti_max, t_anti))
+        i = idx["e1"]
+        cols = [i, idx["e2"]] if "e2" in idx else [i]
+        self.com = _extreme(self.com, xs, np.min(t_mat[:, i, cols], axis=1), True)
+        self.anti = _extreme(self.anti, xs, t_anti, False)
+
+
+def _beyond(new: float, cur: float | None, lowest: bool) -> bool:
+    """Whether ``new`` replaces ``cur`` as the lowest (or highest) value.  A
+    non-finite value replaces any finite one and then stays, so a NaN is
+    never dropped the way builtin min, max and < drop it."""
+    if cur is None:
+        return True
+    if not math.isfinite(cur):
+        return False
+    return not math.isfinite(new) or (new < cur if lowest else new > cur)
+
+
+def _extreme(cur: tuple[float, float] | None, xs: np.ndarray, vals: np.ndarray,
+             lowest: bool) -> tuple[float, float]:
+    """Fold values at points xs into ``cur`` = (value, x): the lowest (or
+    highest), or the first non-finite one."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        k = int(bad.argmax())
+    else:
+        k = int(vals.argmin() if lowest else vals.argmax())
+    new = (float(vals[k]), float(xs[k]))
+    return new if _beyond(new[0], None if cur is None else cur[0], lowest) else cur
+
+
+def _sign_record(cur: tuple[float, dict] | None, stat: tuple[float, float] | None,
+                 lowest: bool, family: str, n: int) -> tuple[float, dict] | None:
+    """Fold a block's (value, x) sign statistic into the run's (value, witness)."""
+    if stat is None or not _beyond(stat[0], None if cur is None else cur[0], lowest):
+        return cur
+    wit = {"operator": family, "n": n}
+    if not math.isfinite(stat[0]):
+        wit["x"] = stat[1]  # a non-finite statistic also names its x
+    return stat[0], wit
 
 
 def _json_number(v) -> float | str:
@@ -254,20 +291,36 @@ def _x_grid(family: str, cfg: SuiteConfig) -> np.ndarray:
 
 def _sweep_block(family: str, n: int, cfg: SuiteConfig, corpus,
                  names: tuple[str, ...]) -> _Accum:
-    """Every row of the bound table over every cell of one (family, n) block."""
-    block = bnd.Block(family, n, _x_grid(family, cfg), [corpus[nm] for nm in names],
-                      grid_n=cfg.grid_n, x_max=cfg.x_max, quad_n=cfg.quad_n,
-                      tail_eps=cfg.tail_eps)
+    """Every row of the bound table over every x of one (family, n) block.
+
+    Each batch of x is evaluated row by row; the margins are then taken into
+    the accumulator per x and row, in that order, so its tie-breaks and
+    failure samples do not depend on how the x are batched.  An exception is
+    kept on the accumulator with the x range of the batch it came from.
+    """
     acc = _Accum(family, n)
+    block = None
     # sign statistics are stated for positive functionals only
     e1_row = names.index("e1") if "e1" in names and family != "lagrange_cheb" else None
-    for cell in block.cells():
-        acc.cells += cell.lhs.size
-        for row, lower, margins, allow in block.margins(cell):
-            acc.update(row.name, margins, allow, lower, cell.x, names,
-                       asserted=row.gated)
-        if e1_row is not None:
-            acc.sign_stats(cell.t, cell.anti_t(e1_row), names)
+    try:
+        block = bnd.Block(family, n, _x_grid(family, cfg),
+                          [corpus[nm] for nm in names], grid_n=cfg.grid_n,
+                          x_max=cfg.x_max, quad_n=cfg.quad_n, tail_eps=cfg.tail_eps)
+        for batch in block.batches():
+            rows = [(row.name, row.gated, lower, margins, allow)
+                    for row, lower, margins, allow in block.evaluate(batch)]
+            acc.cells += batch.lhs.size
+            for b, x in enumerate(batch.xs):
+                for name, gated, lower, margins, allow in rows:
+                    acc.update(name, margins[b], allow[b], lower[b], x, names,
+                               asserted=gated)
+            if e1_row is not None:
+                acc.sign_stats(batch.xs, batch.t, batch.anti_t(e1_row), names)
+    except Exception as exc:  # recorded, not fatal
+        span = None if block is None else block.x_span
+        acc.error = {"operator": family, "n": n,
+                     "x_range": None if span is None else list(span),
+                     "error_type": type(exc).__name__, "message": str(exc)}
     return acc
 
 
@@ -368,7 +421,7 @@ def monotone_chebyshev_check(cfg: SuiteConfig | None = None) -> dict:
     anti01 = RealFunction("one_minus_e1", (0.0, 1.0), lambda v: 1.0 - np.asarray(v, float))
     anti_inf = RealFunction("one_minus_e1", (0.0, math.inf), lambda v: 1.0 - np.asarray(v, float))
 
-    worst_com, worst_anti = math.inf, -math.inf
+    worst_com = worst_anti = None
     witness_com = witness_anti = None
     samples = []
     for family in ("bernstein", "sdelta", "king", "two_point"):
@@ -387,10 +440,10 @@ def monotone_chebyshev_check(cfg: SuiteConfig | None = None) -> dict:
                            (crp["e1"], crp["e1"], "com"),
                            (crp["e1"], anti, "anti")):
             t = ops.chebyshev_T(L, f, g)
-            if kind == "com" and t < worst_com:
+            if kind == "com" and _beyond(t, worst_com, True):
                 worst_com = t
                 witness_com = {"operator": family, "n": n, "x": x, "g": g.name}
-            if kind == "anti" and t > worst_anti:
+            if kind == "anti" and _beyond(t, worst_anti, False):
                 worst_anti = t
                 witness_anti = {"operator": family, "n": n, "x": x}
     return {
@@ -398,7 +451,8 @@ def monotone_chebyshev_check(cfg: SuiteConfig | None = None) -> dict:
         "max_antimonotone_T": worst_anti,
         "comonotone_witness": witness_com,
         "antimonotone_witness": witness_anti,
-        "pass": worst_com >= -1e-12 and worst_anti <= 1e-12,
+        "pass": math.isfinite(worst_com) and math.isfinite(worst_anti)
+        and worst_com >= -1e-12 and worst_anti <= 1e-12,
     }
 
 
@@ -479,16 +533,14 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerificationReport:
     block_errors: list[dict] = []
     failures_total = 0
     cells = checks = 0
-    com_min, anti_max = math.inf, -math.inf
-    com_wit = anti_wit = None
+    com = anti = None  # (value, witness) of the extreme sign statistics
     fam_seen, bound_seen = set(), set()
     blocks = [(family, n) for family in cfg.families
               for n in ((1,) if family in ("two_point", "measure_example") else cfg.degrees)]
     for family, n in blocks:
-        try:
-            acc = _sweep_block(family, n, cfg, corpora[FAMILY_DOMAINS[family]], names)
-        except Exception as exc:  # recorded, not fatal
-            block_errors.append({"operator": family, "n": n, "error": repr(exc)})
+        acc = _sweep_block(family, n, cfg, corpora[FAMILY_DOMAINS[family]], names)
+        if acc.error is not None:
+            block_errors.append(acc.error)
             continue
         fam_seen.add(family)
         cells += acc.cells
@@ -504,12 +556,8 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerificationReport:
             curf = fam_worst.get(bound_name)
             if curf is None or wrec["margin"] < curf["margin"]:
                 fam_worst[bound_name] = wrec
-        if acc.com_min is not None and acc.com_min < com_min:
-            com_min = acc.com_min
-            com_wit = {"operator": family, "n": n}
-        if acc.anti_max is not None and acc.anti_max > anti_max:
-            anti_max = acc.anti_max
-            anti_wit = {"operator": family, "n": n}
+        com = _sign_record(com, acc.com, True, family, n)
+        anti = _sign_record(anti, acc.anti, False, family, n)
 
     # coverage: every requested family contributed every expected bound
     missing = {}
@@ -523,18 +571,24 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerificationReport:
     identity = _identity_suite(cfg, corpora)
 
     have_e1 = "e1" in names
+    com_ok = com is None or (math.isfinite(com[0]) and com[0] >= -1e-12)
+    anti_ok = anti is None or (math.isfinite(anti[0]) and anti[0] <= 1e-12)
     monotone = {
-        "pass": (not have_e1) or (com_min >= -1e-12 and anti_max <= 1e-12),
-        "min_comonotone_T": None if com_min is math.inf else com_min,
-        "max_antimonotone_T": None if anti_max == -math.inf else anti_max,
-        "comonotone_witness": com_wit,
-        "antimonotone_witness": anti_wit,
+        "pass": (not have_e1) or (com_ok and anti_ok),
+        "min_comonotone_T": None if com is None else _json_number(com[0]),
+        "max_antimonotone_T": None if anti is None else _json_number(anti[0]),
+        "comonotone_witness": None if com is None else com[1],
+        "antimonotone_witness": None if anti is None else anti[1],
     }
 
     witnesses = sharpness_suite()
-    sharp_gap = max(w["gap"] for w in witnesses)
-    sharp = {"pass": sharp_gap <= 1e-10, "max_abs_gap": sharp_gap,
-             "witnesses": witnesses}
+    worst = None
+    for w in witnesses:
+        if _beyond(w["gap"], None if worst is None else worst["gap"], False):
+            worst = w
+    sharp = {"pass": worst["gap"] <= 1e-10, "max_abs_gap": _json_number(worst["gap"]),
+             "witnesses": [{k: _json_number(v) if isinstance(v, float) else v
+                            for k, v in w.items()} for w in witnesses]}
 
     conj = conjecture_scan(cfg.conjecture_nmax, min(cfg.grid_n, 513))
     conj_pass = all(f["min_gap_to_half"] >= -1e-12 for f in conj)

@@ -303,3 +303,197 @@ def test_one_shot_agrees_with_scalar_references(family):
                         tol = 1e-12 * max(abs(got[name]), abs(ref)) + slack
                         assert abs(got[name] - ref) <= tol, (family, n, x, f.name,
                                                              g.name, name, got[name], ref)
+
+
+# ---------------------------------------------------------------------------
+# batches against a per-cell reference
+
+REFERENCE_DEGREES = {"two_point": (1,), "measure_example": (1,)}
+REFERENCE_XGRID = 17
+EPS = np.finfo(float).eps
+
+
+def _reference_cells(block):
+    """(x, v, w, tail, T, osc) one point at a time, each from the family's own
+    functional: no padding, no shared node array."""
+    fam, n = block.family, block.n
+    funcs = block.funcs
+    for x in block.xs:
+        x = float(x)
+        if fam == "measure_example":
+            xq, sw = ops.simpson_weights(block.quad_n)
+            vq = np.stack([f.values(xq) for f in funcs])
+            mid = np.array([f.values(np.array([0.5]))[0] for f in funcs])
+            lf = x * (vq @ sw) + (1.0 - x) * mid
+            lfg = x * ((vq * sw) @ vq.T) + (1.0 - x) * np.outer(mid, mid)
+            yield x, None, None, None, lfg - np.outer(lf, lf), block.grid_osc
+            continue
+        if fam == "sdelta":
+            k, u = ops._sdelta_cell(n, x)
+            nodes = (np.array([min(k, n) / n]) if u == 0.0
+                     else np.array([k / n, (k + 1) / n]))
+            w = np.array([1.0]) if u == 0.0 else np.array([1.0 - u, u])
+            tail = None
+        else:
+            L = build_point_functional(ops.OperatorSpec(fam, n, x if fam == "two_point"
+                                                        else None), x, block.tail_eps)
+            nodes, w = L.nodes, L.weights
+            tail = L.tail_mass_bound if fam in bnd.TRUNCATED_FAMILIES else None
+            if tail is not None:
+                w = w / w.sum()
+        v = np.stack([f.values(nodes) for f in funcs])
+        a = v @ w
+        t = (v * w) @ v.T - np.outer(a, a)
+        yield x, v, w, tail, t, v.max(axis=1) - v.min(axis=1)
+
+
+def _reference_rows(block, x, v, w, tail, t, osc):
+    """name -> (lower, margin, allowance) at one point, written out per row."""
+    fam, n, h = block.family, block.n, block.envelope_step
+    lhs, oo = np.abs(t), np.outer(osc, osc)
+
+    def env(step):
+        return np.array([bnd.cached_envelope(f, block.grid_n, block.x_max).hull_value(step)
+                         for f in block.funcs])
+
+    def modulus(e):
+        return h * np.add.outer(e, e) + 4.0 * h * h
+
+    trunc = 0.0 if tail is None else 3.0 * tail * np.outer(osc + 1.0, osc + 1.0)
+    quad = (8.0 / block.quad_n) * (1.0 + oo) if fam == "measure_example" else 0.0
+    rhs, slack = {}, {}
+    if w is not None:
+        ssq = w @ w
+        pair = (max(0.0, 0.5 * (np.abs(w).sum() ** 2 - ssq)) if fam == "lagrange_cheb"
+                else 0.5 * (1.0 - ssq))
+        rhs["new_osc"], slack["new_osc"] = pair * oo, trunc
+        if fam != "lagrange_cheb":
+            dev = np.abs(v - (v @ w)[:, None]) @ w
+            rhs["mercer"] = 0.5 * np.minimum(np.outer(osc, dev), np.outer(dev, osc))
+            slack["mercer"] = trunc
+    if fam in ("bernstein", "sdelta", "szasz", "baskakov", "bbh", "king"):
+        rhs["new_osc_family"] = bnd.specialized_rhs(fam, n, x) * oo
+        slack["new_osc_family"] = slack["lattice_family_vs_new"] = trunc
+    if fam in ("bernstein", "king"):
+        rhs["new_osc_degree"], slack["new_osc_degree"] = n / (2.0 * (n + 1.0)) * oo, 0.0
+    if fam in bnd.TRUNCATED_FAMILIES:
+        rhs["new_osc_globalrange"] = pair * np.outer(block.grid_osc, block.grid_osc)
+        slack["new_osc_globalrange"] = trunc
+    if fam != "lagrange_cheb":
+        rhs["gruss_quarter"], slack["gruss_quarter"] = 0.25 * oo, trunc + quad
+        slack["lattice_gruss_vs_mercer"] = trunc
+    if fam in ("bernstein", "sdelta", "king"):
+        e = env(2.0 * np.sqrt(max(sp.second_moment(fam, n, x), 0.0)))
+        rhs["classical_ws"], slack["classical_ws"] = 0.25 * np.outer(e, e), modulus(e)
+    if fam in ("bernstein", "sdelta"):
+        e = env(1.0 / np.sqrt(n) if fam == "bernstein" else 1.0 / n)
+        rhs["classical_ws_uniform"] = 0.25 * np.outer(e, e)
+        slack["classical_ws_uniform"] = modulus(e)
+    if fam == "lagrange_cheb":
+        e, lam, ln = env(2.0), lag.lebesgue_constant(n), np.log(n)
+        for name, coef in (("classical_norm", 0.25 * lam * (1.0 + lam)),
+                           ("classical_log", 0.5 * (1 + 3 / np.pi * ln + 2 / np.pi ** 2 * ln * ln)),
+                           ("classical_log_stated", 0.5 * (1 + 3 / np.pi * ln + 2 / np.pi * ln * ln))):
+            rhs[name] = coef * np.outer(e, e)
+            slack[name] = lam * (1.0 + lam) * modulus(e)
+    if fam == "measure_example":
+        rhs["measure_support"], slack["measure_support"] = 0.5 * x * (2.0 - x) * oo, quad
+    out = {}
+    for name, upper in rhs.items():
+        out[name] = (lhs, upper - lhs, bnd.allowance(lhs, upper, slack[name]))
+    for name, (up, low) in (("lattice_family_vs_new", ("new_osc_family", "new_osc")),
+                            ("lattice_gruss_vs_mercer", ("gruss_quarter", "mercer"))):
+        if up in rhs and low in rhs:
+            out[name] = (rhs[low], rhs[up] - rhs[low],
+                         bnd.allowance(rhs[low], rhs[up], slack[name]))
+    return out
+
+
+def _batched_rows(block):
+    """name -> list over x of (lower, margin, allowance), from the batches."""
+    out = {}
+    for batch in block.batches():
+        for row, lower, margin, allow in block.evaluate(batch):
+            for b in range(len(batch.xs)):
+                out.setdefault(row.name, []).append((lower[b], margin[b], allow[b]))
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_DOMAINS))
+def test_batches_match_per_cell_reference(family):
+    """Every (row, x, f, g) margin and allowance of the batched table against
+    the per-cell reference, to 1e-12 relative plus a rounding floor, with
+    the same failure mask."""
+    from grusslab.verify import SuiteConfig, _x_grid
+    corpus = standard_corpus(FAMILY_DOMAINS[family])
+    funcs = list(corpus.values())
+    xs = _x_grid(family, SuiteConfig(x_grid=REFERENCE_XGRID))
+    for n in REFERENCE_DEGREES.get(family, (2, 16)):
+        block = bnd.Block(family, n, xs, funcs)
+        got = _batched_rows(block)
+        seen = set()
+        for ix, cell in enumerate(_reference_cells(block)):
+            x, v = cell[0], cell[1]
+            # two routes through the Gram form differ by rounding in sums of
+            # size-many terms of the scale of the products of node values
+            size = 1 if v is None else v.shape[1]
+            scale = 1.0 + (np.abs(cell[4]).max() if v is None else np.abs(v).max(axis=1))
+            floor = 64.0 * EPS * size * np.multiply.outer(scale, scale)
+            for name, (lower, margin, allow) in _reference_rows(block, *cell).items():
+                seen.add(name)
+                b_lower, b_margin, b_allow = got[name][ix]
+                for label, ref, new in (("lower", lower, b_lower), ("margin", margin, b_margin),
+                                        ("allowance", allow, b_allow)):
+                    tol = 1e-12 * np.maximum(np.abs(ref), np.abs(new)) + floor
+                    assert np.all(np.abs(new - ref) <= tol), (family, n, x, name, label)
+                ref_bad = ~((margin + allow >= 0.0) & np.isfinite(margin))
+                new_bad = ~((b_margin + b_allow >= 0.0) & np.isfinite(b_margin))
+                assert np.array_equal(ref_bad, new_bad), (family, n, x, name)
+        assert seen == set(got), family
+        assert all(len(v) == len(xs) for v in got.values())
+
+
+@pytest.mark.parametrize("family", bnd.TRUNCATED_FAMILIES)
+def test_truncated_batches_keep_byte_budget(family):
+    """Batches of degree 64 out to x_max: several x share a batch only while
+    batch x rows x widest window doubles fit BATCH_BYTES; a single x wider
+    than that is a batch of its own."""
+    corpus = standard_corpus(FAMILY_DOMAINS[family])
+    block = bnd.Block(family, 64, np.linspace(0.0, 50.0, 257), list(corpus.values()))
+    rows, sizes, seen = len(corpus), [], []
+    for batch in block.batches():
+        nbytes = len(batch.xs) * rows * max(batch.w.shape[1], rows) * 8
+        assert len(batch.xs) == 1 or nbytes <= bnd.BATCH_BYTES, (batch.xs, nbytes)
+        assert batch.w.shape == (len(batch.xs), batch.v.shape[1])
+        sizes.append(len(batch.xs))
+        seen.extend(batch.xs)
+    assert np.array_equal(seen, block.xs)
+    assert max(sizes) > 1 and sizes[-1] == 1
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_DOMAINS))
+def test_one_shot_agrees_with_sweep_batch(family):
+    """`bounds` at (x, f, g) against the sweep's batch entry at that x."""
+    corpus = standard_corpus(FAMILY_DOMAINS[family])
+    names = list(corpus)
+    funcs = list(corpus.values())
+    n = REFERENCE_DEGREES.get(family, (16,))[0]
+    lo, hi = FAMILY_DOMAINS[family]
+    xs = np.linspace(lo, min(hi, 50.0), REFERENCE_XGRID)
+    block = bnd.Block(family, n, xs, funcs)
+    for batch in block.batches():
+        shape = batch.lhs.shape
+        rhs = {row.name: np.broadcast_to(row.rhs(batch), shape) for row in block.rows
+               if row.gated and row.lattice is None and family not in row.sweep_only}
+        for b, x in enumerate(batch.xs):
+            for i, j in ((0, 1), (3, 7), (9, 5)):
+                spec = ops.OperatorSpec(family, n, float(x) if family in
+                                        ("two_point", "measure_example") else None)
+                rec = one_shot_bounds(spec, float(x), funcs[i], funcs[j])
+                assert (rec.f, rec.g) == (names[i], names[j])
+                assert set(rec.rhs) == set(rhs)
+                pairs = [(rec.lhs, batch.lhs[b, i, j])]
+                pairs += [(rec.rhs[k], rhs[k][b, i, j]) for k in rhs]
+                for one, swept in pairs:
+                    assert abs(one - swept) <= 1e-12 * max(abs(one), abs(swept)) + 1e-13, \
+                        (family, x, names[i], names[j], one, swept)

@@ -313,3 +313,109 @@ class TestNumericFailurePath:
         assert "worst failing margin" in captured.err
         assert "bernstein" in captured.err
         assert "suite failed: bound_sweep" in captured.err
+
+
+SMALL_VERIFY = ["verify", "--families", "bernstein", "--degrees", "2", "--xgrid", "9",
+                "--grid", "101", "--conjecture-nmax", "2"]
+
+
+def _no_constants(name):
+    raise AssertionError(f"report holds {name}")
+
+
+class TestNonFiniteStatistics:
+    def test_nan_sign_statistic_fails_monotone_signs(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import numpy as np
+
+        from grusslab import bounds as bnd
+        anti_t = bnd.Batch.anti_t
+
+        def nan_at_half(self, i):
+            # a NaN T(e1, 1 - e1) at x = 0.5 only, after finite values
+            out = anti_t(self, i).copy()
+            out[self.xs == 0.5] = np.nan
+            return out
+
+        monkeypatch.setattr(bnd.Batch, "anti_t", nan_at_half)
+        out = tmp_path / "r.json"
+        code = main(SMALL_VERIFY + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "suite failed: monotone_signs" in captured.err
+        payload = json.loads(out.read_text(), parse_constant=_no_constants)
+        signs = payload["suites"]["monotone_signs"]
+        assert signs["pass"] is False
+        assert signs["max_antimonotone_T"] == "nan"
+        assert signs["antimonotone_witness"] == {"operator": "bernstein", "n": 2,
+                                                 "x": 0.5}
+        assert '"antimonotone_witness": {"n": 2, "operator": "bernstein", "x": 0.5}' \
+            in captured.err
+        assert payload["suites"]["bound_sweep"]["pass"] is True
+
+    def test_nan_sharpness_gap_fails_sharpness(self, tmp_path, capsys, monkeypatch):
+        from grusslab import bounds as bnd
+        monkeypatch.setattr(bnd, "new_bound_positive", lambda L, f, g: math.nan)
+        out = tmp_path / "r.json"
+        code = main(SMALL_VERIFY + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "suite failed: sharpness" in captured.err
+        payload = json.loads(out.read_text(), parse_constant=_no_constants)
+        sharp = payload["suites"]["sharpness"]
+        assert sharp["pass"] is False
+        assert sharp["max_abs_gap"] == "nan"
+        first = next(w for w in sharp["witnesses"] if w["gap"] == "nan")
+        assert (first["witness"], first["n"], first["x"]) == ("two_point_oscillation", 1, 0.1)
+        assert '"witness": "two_point_oscillation"' in captured.err
+        # the sharpness command fails on the same NaN
+        assert main(["sharpness"]) == 1
+
+
+class TestBlockErrors:
+    def test_raising_row_names_type_message_and_batch(self, tmp_path, capsys,
+                                                      monkeypatch):
+        import dataclasses
+
+        from grusslab import bounds as bnd
+
+        def boom(c):
+            raise ZeroDivisionError("row failed")
+        rows = tuple(dataclasses.replace(b, rhs=boom) if b.name == "mercer" else b
+                     for b in bnd.BOUNDS)
+        monkeypatch.setattr(bnd, "BOUNDS", rows)
+        out = tmp_path / "r.json"
+        code = main(SMALL_VERIFY + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        payload = json.loads(out.read_text())
+        err = {"operator": "bernstein", "n": 2, "x_range": [0.0, 1.0],
+               "error_type": "ZeroDivisionError", "message": "row failed"}
+        assert payload["suites"]["bound_sweep"]["block_errors"] == [err]
+        assert f"block error: {json.dumps(err, sort_keys=True)}" in captured.err
+        assert "suite failed: bound_sweep" in captured.err
+
+
+def test_optimised_python_gives_the_same_report(tmp_path):
+    """No gate or budget check lives in an assert: `python -O` writes the
+    same report bytes."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import grusslab
+    env = dict(os.environ)
+    src = str(Path(grusslab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    args = ["-m", "grusslab.cli", "verify", "--families", "bernstein,szasz,measure_example",
+            "--degrees", "1,3", "--xgrid", "9", "--grid", "101", "--conjecture-nmax", "3"]
+    reports = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"report{len(reports)}.json"
+        proc = subprocess.run([sys.executable, *flags, *args, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["pass"] is True

@@ -223,6 +223,31 @@ class TestTheta:
         vals = [sp.theta_baskakov(3, x) for x in (10, 20, 40, 80)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    def test_cached_log_binomials_bit_identical(self, monkeypatch):
+        """The per-degree cache of the x-free part gives the uncached
+        expression bit for bit, whichever x first sized the cache."""
+        from scipy.special import gammaln
+
+        def uncached(n, x):
+            if x == 0.0:
+                return 1.0
+            q = x / (1.0 + x)
+            mean = n * x
+            kcut = int(mean + 15.0 * math.sqrt(mean * (1.0 + x)) + 60.0)
+            ks = np.arange(kcut + 1.0)
+            logs = 2.0 * (gammaln(n + ks) - gammaln(ks + 1.0) - gammaln(n)) \
+                + 2.0 * ks * math.log(q) - 2.0 * n * math.log1p(x)
+            return float(np.sum(np.exp(logs)))
+
+        monkeypatch.setattr(sp, "_THETA_LOG_COEF", {})
+        xs = np.linspace(0.0, 50.0, 41)
+        order = np.random.default_rng(7).permutation(xs.size)
+        for n in range(1, 65):
+            # ascending x grows the cache step by step, shuffled x out of order
+            for x in (xs if n % 2 else xs[order]):
+                assert sp.theta_baskakov(n, float(x)) == uncached(n, float(x)), (n, x)
+            assert list(sp._THETA_LOG_COEF) == [n]
+
 
 class TestPsi:
     def test_at_zero(self):

@@ -191,3 +191,65 @@ class TestBuildFunctional:
     def test_measure_has_no_point_form(self):
         with pytest.raises(ValueError):
             build_point_functional(ops.OperatorSpec("measure_example", 1, 0.5), 0.1)
+
+
+class TestSweepBlockErrors:
+    def test_error_before_first_batch_has_no_x_range(self, monkeypatch):
+        from grusslab import bounds as bnd
+
+        def broken(self):
+            raise RuntimeError("no batches")
+            yield  # pragma: no cover
+        monkeypatch.setattr(bnd.Block, "batches", broken)
+        rep = run_suite(SuiteConfig(families=("two_point",), degrees=(1,), x_grid=9,
+                                    grid_n=101, conjecture_nmax=2))
+        assert not rep.passed
+        assert rep.suites["bound_sweep"]["block_errors"] == [{
+            "operator": "two_point", "n": 1, "x_range": None,
+            "error_type": "RuntimeError", "message": "no batches"}]
+
+    def test_error_names_the_x_range_of_its_batch(self, monkeypatch):
+        import dataclasses
+
+        from grusslab import bounds as bnd
+        spans = []
+
+        def fails_past_40(c):
+            spans.append((float(c.xs[0]), float(c.xs[-1])))
+            if c.xs[-1] > 40.0:
+                raise ArithmeticError("past 40")
+            return 0.25 * c.osc_outer
+        rows = tuple(dataclasses.replace(b, rhs=fails_past_40)
+                     if b.name == "gruss_quarter" else b for b in bnd.BOUNDS)
+        monkeypatch.setattr(bnd, "BOUNDS", rows)
+        rep = run_suite(SuiteConfig(families=("szasz",), degrees=(64,), x_grid=65,
+                                    grid_n=101, conjecture_nmax=2))
+        (err,) = rep.suites["bound_sweep"]["block_errors"]
+        assert err["error_type"] == "ArithmeticError" and err["message"] == "past 40"
+        assert tuple(err["x_range"]) == spans[-1]
+        assert spans[-2][1] <= 40.0 < spans[-1][1]
+
+
+class TestSignStatistics:
+    def test_nan_stays_with_its_x(self):
+        import numpy as np
+
+        from grusslab.verify import _Accum
+        names = ("e1", "e2")
+        acc = _Accum("bernstein", 2)
+        t = np.array([[[0.2, 0.1], [0.1, 0.3]], [[np.nan, 0.1], [0.1, 0.3]]])
+        acc.sign_stats(np.array([0.25, 0.5]), t, np.array([-0.1, -0.2]), names)
+        # a later, lower finite value does not displace the NaN
+        acc.sign_stats(np.array([0.75]), t[:1] - 1.0, np.array([0.5]), names)
+        assert np.isnan(acc.com[0]) and acc.com[1] == 0.5
+        assert acc.anti == (0.5, 0.75)
+
+    def test_monotone_check_keeps_nan(self, monkeypatch):
+        chebyshev_T = ops.chebyshev_T
+
+        def nan_for_anti(L, f, g):
+            return float("nan") if g.name == "one_minus_e1" else chebyshev_T(L, f, g)
+        monkeypatch.setattr(ops, "chebyshev_T", nan_for_anti)
+        out = monotone_chebyshev_check(SuiteConfig(**FAST))
+        assert not out["pass"]
+        assert out["max_antimonotone_T"] != out["max_antimonotone_T"]
