@@ -57,6 +57,12 @@ BASE_REL_TOL = 1e-9
 #: a single point wider than this forms a batch of its own
 BATCH_BYTES = 256 * 1024
 
+#: points a batch may hold at most.  Every table row keeps its (batch, rows,
+#: rows) margins and allowance until the batch's per-x updates are done; a few
+#: hundred points of them come to about 10 MB, which malloc hands back to the
+#: system after each batch and the next batch faults in again page by page
+BATCH_POINTS = 64
+
 #: families whose functionals are cut at a declared tail mass
 TRUNCATED_FAMILIES = ("szasz", "baskakov")
 
@@ -269,9 +275,10 @@ class Block:
 
     def _batch_len(self, nodes: int) -> int:
         """How many points of ``nodes`` nodes each keep every (batch, rows,
-        nodes) and (batch, rows, rows) array within BATCH_BYTES; at least one."""
+        nodes) and (batch, rows, rows) array within BATCH_BYTES, at most
+        BATCH_POINTS; at least one."""
         rows = len(self.funcs)
-        return max(1, BATCH_BYTES // (8 * rows * max(nodes, rows)))
+        return max(1, min(BATCH_POINTS, BATCH_BYTES // (8 * rows * max(nodes, rows))))
 
     def _spans(self, nodes: int):
         """(start, stop) of batches of points that read ``nodes`` nodes each."""

@@ -471,6 +471,23 @@ def test_truncated_batches_keep_byte_budget(family):
     assert max(sizes) > 1 and sizes[-1] == 1
 
 
+@pytest.mark.parametrize("family", ["bernstein", "sdelta", "two_point", "measure_example"])
+def test_batches_hold_at_most_batch_points(family):
+    """Few nodes would let hundreds of x share a batch under BATCH_BYTES; the
+    points cap splits them into full batches of BATCH_POINTS in x order."""
+    corpus = standard_corpus(FAMILY_DOMAINS[family])
+    xs = np.linspace(0.0, 1.0, 257)
+    block = bnd.Block(family, 1, xs, list(corpus.values()))
+    rows = len(corpus)
+    assert bnd.BATCH_BYTES // (8 * rows * rows) > bnd.BATCH_POINTS
+    sizes, seen = [], []
+    for batch in block.batches():
+        sizes.append(len(batch.xs))
+        seen.extend(batch.xs)
+    assert np.array_equal(seen, xs)
+    assert sizes == [bnd.BATCH_POINTS] * (len(xs) // bnd.BATCH_POINTS) + [len(xs) % bnd.BATCH_POINTS]
+
+
 @pytest.mark.parametrize("family", sorted(FAMILY_DOMAINS))
 def test_one_shot_agrees_with_sweep_batch(family):
     """`bounds` at (x, f, g) against the sweep's batch entry at that x."""
