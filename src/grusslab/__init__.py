@@ -19,6 +19,6 @@ from .special import (central_binom_scaled, king_sumsq, legendre_P,
                       scaled_bessel_i0, second_moment, sigma_szasz, tau_hat,
                       theta_baskakov)
 from .verify import (SuiteConfig, VerificationReport, conjecture_scan,
-                     monotone_chebyshev_check, run_suite, sharpness_suite)
+                     run_suite, sharpness_suite)
 
 __version__ = "0.1.0"

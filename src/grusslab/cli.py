@@ -7,6 +7,7 @@ same flags are byte-identical and round-trip through float parsing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,8 @@ from . import lagrange as lag
 from . import operators as ops
 from . import special
 from .funcspace import CORPUS_NAMES, standard_corpus
-from .verify import (FAMILY_DOMAINS, SuiteConfig, conjecture_scan,
+from .verify import (CONJECTURE_GRID, FAMILY_DOMAINS, SuiteConfig,
+                     conjecture_scan, equality_holds, half_point_holds,
                      one_shot_bounds, run_suite, sharpness_suite)
 
 __all__ = ["main"]
@@ -54,24 +56,18 @@ def _split_list(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in _split_list(text))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_verify(args) -> int:
-    cfg = SuiteConfig(
-        families=_split_list(args.families) if args.families else tuple(FAMILY_DOMAINS),
-        degrees=tuple(int(s) for s in _split_list(args.degrees)) if args.degrees
-        else SuiteConfig.degrees,
-        x_grid=args.xgrid,
-        functions=_split_list(args.functions) if args.functions else CORPUS_NAMES,
-        tail_eps=args.tail_eps,
-        quad_n=args.quad_n,
-        grid_n=args.grid,
-        x_max=args.xmax,
-        seed=args.seed,
-        conjecture_nmax=args.conjecture_nmax,
-    )
+    # every SuiteConfig field has a flag whose dest is the field name
+    cfg = SuiteConfig(**{f.name: getattr(args, f.name)
+                         for f in dataclasses.fields(SuiteConfig)})
     report = run_suite(cfg)
     _write_out(report.to_json() + "\n", args.out)
     if not report.passed:
@@ -176,7 +172,7 @@ def _cmd_lagrange(args) -> int:
         window.append({"n": m, "lebesgue_constant": lag.lebesgue_constant(m),
                        "gap": gap,
                        "in_window": bool(lag.RIVLIN_LO < gap < lag.RIVLIN_HI),
-                       "hermann_min_ratio": lag.hermann_ratio(m, 257)})
+                       "hermann_min_ratio": lag.hermann_ratio(m)})
     sys.stdout.write(_csv(window, ["n", "lebesgue_constant", "gap", "in_window",
                                    "hermann_min_ratio"]))
     return 0
@@ -195,7 +191,7 @@ def _cmd_conjectures(args) -> int:
     _write_out(_csv(rows, ["n", "min_second_difference",
                            "first_difference_sign_changes", "min_gap_to_half"]),
                args.out)
-    bad = [r for r in rows if r["min_gap_to_half"] < -1e-12]
+    bad = [r for r in rows if not half_point_holds(r)]
     if bad:
         print(f"half-point minimum violated at n={bad[0]['n']}", file=sys.stderr)
         return 1
@@ -205,8 +201,7 @@ def _cmd_conjectures(args) -> int:
 def _cmd_sharpness(args) -> int:
     rows = sharpness_suite()
     _write_out(_csv(rows, ["witness", "n", "x", "lhs", "rhs", "gap"]), args.out)
-    # a NaN gap fails this comparison as well
-    bad = [r["gap"] for r in rows if not r["gap"] <= 1e-10]
+    bad = [r["gap"] for r in rows if not equality_holds(r)]
     if bad:
         print(f"equality witness off by {bad[0]:.3e}", file=sys.stderr)
         return 1
@@ -224,17 +219,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    cfg = SuiteConfig()
     v = sub.add_parser("verify", help="run the full verification suite")
-    v.add_argument("--families", help="comma list, default all")
-    v.add_argument("--degrees", help="comma list, default 1,2,3,4,8,16,32,64")
-    v.add_argument("--xgrid", type=int, default=257, help="x grid per domain")
-    v.add_argument("--functions", help="corpus subset, comma list")
-    v.add_argument("--grid", type=int, default=1001, help="global function grid")
-    v.add_argument("--tail-eps", type=float, default=1e-12)
-    v.add_argument("--quad-n", type=int, default=2048)
-    v.add_argument("--xmax", type=float, default=50.0)
-    v.add_argument("--seed", type=int, default=90210)
-    v.add_argument("--conjecture-nmax", type=int, default=64)
+    v.add_argument("--families", type=_split_list, default=cfg.families,
+                   help="comma list, default all")
+    v.add_argument("--degrees", type=_int_list, default=cfg.degrees,
+                   help=f"comma list, default {','.join(map(str, cfg.degrees))}")
+    v.add_argument("--xgrid", dest="x_grid", type=int, default=cfg.x_grid,
+                   help="x grid per domain")
+    v.add_argument("--functions", type=_split_list, default=cfg.functions,
+                   help="corpus subset, comma list")
+    v.add_argument("--grid", dest="grid_n", type=int, default=cfg.grid_n,
+                   help="global function grid")
+    v.add_argument("--tail-eps", type=float, default=cfg.tail_eps)
+    v.add_argument("--quad-n", type=int, default=cfg.quad_n)
+    v.add_argument("--xmax", dest="x_max", type=float, default=cfg.x_max)
+    v.add_argument("--seed", type=int, default=cfg.seed)
+    v.add_argument("--conjecture-nmax", type=int, default=cfg.conjecture_nmax)
     v.add_argument("--out", help="report JSON path (default stdout)")
     v.set_defaults(handler=_cmd_verify)
 
@@ -242,15 +243,15 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--fn", required=True,
                    choices=sorted(_SPECIAL_TABLE) + ["second_moment"])
     s.add_argument("--n", type=int, default=8)
-    s.add_argument("--grid", type=int, default=257)
-    s.add_argument("--xmax", type=float, default=50.0)
+    s.add_argument("--grid", type=int, default=cfg.x_grid)
+    s.add_argument("--xmax", type=float, default=cfg.x_max)
     s.add_argument("--family", help="family for second_moment")
     s.add_argument("--out")
     s.set_defaults(handler=_cmd_special)
 
     g = sub.add_parser("lagrange", help="Lebesgue function table and window")
     g.add_argument("--n", type=int, default=16)
-    g.add_argument("--grid", type=int, default=257)
+    g.add_argument("--grid", type=int, default=cfg.x_grid)
     g.add_argument("--window", action="store_true",
                    help="tabulate the window for all 2..n")
     g.add_argument("--out")
@@ -261,13 +262,13 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--f", default="e1", choices=CORPUS_NAMES)
     b.add_argument("--g", default="e1", choices=CORPUS_NAMES)
     b.add_argument("--x", type=float, default=0.5)
-    b.add_argument("--quad-n", type=int, default=2048)
+    b.add_argument("--quad-n", type=int, default=cfg.quad_n)
     b.add_argument("--out")
     b.set_defaults(handler=_cmd_bounds)
 
     c = sub.add_parser("conjectures", help="shape-conjecture scan table")
-    c.add_argument("--nmax", type=int, default=64)
-    c.add_argument("--grid", type=int, default=513)
+    c.add_argument("--nmax", type=int, default=cfg.conjecture_nmax)
+    c.add_argument("--grid", type=int, default=CONJECTURE_GRID)
     c.add_argument("--out")
     c.set_defaults(handler=_cmd_conjectures)
 

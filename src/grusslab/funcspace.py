@@ -38,18 +38,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RealFunction:
-    """A named scalar function on a closed interval; the right end may be +inf.
-
-    ``bounded`` marks members whose values stay inside ``value_range`` on the
-    whole domain.  Unbounded members (e.g. the identity on [0, inf)) carry
-    ``value_range=None`` and are only ranged over working grids.
-    """
+    """A named scalar function on a closed interval; the right end may be +inf."""
 
     name: str
     domain: tuple[float, float]
     fn: Callable
-    bounded: bool = True
-    value_range: tuple[float, float] | None = None
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -71,10 +64,6 @@ class RealFunction:
             out = np.broadcast_to(out, arr.shape).astype(float)
         return out
 
-    def contains(self, x: float, tol: float = 1e-12) -> bool:
-        lo, hi = self.domain
-        return lo - tol <= x <= hi + tol
-
 
 @dataclass(frozen=True)
 class NodeSet:
@@ -93,14 +82,6 @@ class NodeSet:
 
     def __len__(self) -> int:
         return int(self.nodes.size)
-
-    @property
-    def lo(self) -> float:
-        return float(self.nodes[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.nodes[-1])
 
 
 def uniform_grid(lo: float, hi: float, n: int = DEFAULT_GRID) -> NodeSet:
@@ -257,24 +238,6 @@ CORPUS_NAMES = (
 )
 
 
-def _sin_range(lo: float, hi: float) -> tuple[float, float]:
-    # candidate extrema of sin(pi x): endpoints plus interior half-integers
-    cands = [lo, hi]
-    k = math.ceil(lo - 0.5)
-    while k + 0.5 <= hi:
-        cands.append(k + 0.5)
-        k += 1
-    vals = [math.sin(math.pi * c) for c in cands]
-    return min(vals), max(vals)
-
-
-def _hat_range(lo: float, hi: float) -> tuple[float, float]:
-    vals = [lo * (1 - lo), hi * (1 - hi)]
-    if lo <= 0.5 <= hi:
-        vals.append(0.25)
-    return min(vals), max(vals)
-
-
 def standard_corpus(domain: tuple[float, float] = (0.0, 1.0),
                     seed: int = DEFAULT_SEED,
                     x_max: float = DEFAULT_XMAX) -> Mapping[str, RealFunction]:
@@ -290,8 +253,8 @@ def standard_corpus(domain: tuple[float, float] = (0.0, 1.0),
       every binary float is rational, hence constant 1), randlip = a seeded
       Lipschitz-1 piecewise-linear function.
 
-    On [0, inf) the polynomial-growth members are flagged unbounded, absmid is
-    anchored at 1/2 and randlip is constant beyond x_max.
+    On [0, inf) absmid is anchored at 1/2 and randlip is constant beyond
+    x_max.
     """
     return _corpus((float(domain[0]), float(domain[1])), int(seed), float(x_max))
 
@@ -314,34 +277,15 @@ def _corpus(domain: tuple[float, float], seed: int,
         return np.interp(x, _bps, _vals)
 
     members = {
-        "e0": RealFunction("e0", domain, lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                           bounded=True, value_range=(1.0, 1.0)),
-        "e1": RealFunction("e1", domain, lambda x: np.asarray(x, dtype=float),
-                           bounded=not infinite,
-                           value_range=None if infinite else (lo, hi)),
-        "e2": RealFunction("e2", domain, lambda x: np.square(np.asarray(x, dtype=float)),
-                           bounded=not infinite,
-                           value_range=None if infinite else (
-                               0.0 if lo <= 0.0 <= hi else min(lo * lo, hi * hi),
-                               max(lo * lo, hi * hi))),
-        "hat": RealFunction("hat", domain, lambda x: np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float)),
-                            bounded=not infinite,
-                            value_range=None if infinite else _hat_range(lo, hi)),
-        "absmid": RealFunction("absmid", domain, lambda x, _m=mid: np.abs(np.asarray(x, dtype=float) - _m),
-                               bounded=not infinite,
-                               value_range=None if infinite else (0.0, max(hi - mid, mid - lo))),
-        "sinpi": RealFunction("sinpi", domain, lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
-                              bounded=True,
-                              value_range=(-1.0, 1.0) if infinite else _sin_range(lo, hi)),
-        "expneg": RealFunction("expneg", domain, lambda x: np.exp(-np.asarray(x, dtype=float)),
-                               bounded=True,
-                               value_range=(0.0 if infinite else math.exp(-hi), math.exp(-lo))),
-        "halfstep": RealFunction("halfstep", domain, lambda x: np.floor(2.0 * np.asarray(x, dtype=float)) / 2.0,
-                                 bounded=not infinite,
-                                 value_range=None if infinite else (math.floor(2 * lo) / 2, math.floor(2 * hi) / 2)),
-        "dirichlet": RealFunction("dirichlet", domain, lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                                  bounded=True, value_range=(1.0, 1.0)),
-        "randlip": RealFunction("randlip", domain, randlip_eval,
-                                bounded=True, value_range=(float(vals.min()), float(vals.max()))),
+        "e0": RealFunction("e0", domain, lambda x: np.ones_like(np.asarray(x, dtype=float))),
+        "e1": RealFunction("e1", domain, lambda x: np.asarray(x, dtype=float)),
+        "e2": RealFunction("e2", domain, lambda x: np.square(np.asarray(x, dtype=float))),
+        "hat": RealFunction("hat", domain, lambda x: np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float))),
+        "absmid": RealFunction("absmid", domain, lambda x, _m=mid: np.abs(np.asarray(x, dtype=float) - _m)),
+        "sinpi": RealFunction("sinpi", domain, lambda x: np.sin(np.pi * np.asarray(x, dtype=float))),
+        "expneg": RealFunction("expneg", domain, lambda x: np.exp(-np.asarray(x, dtype=float))),
+        "halfstep": RealFunction("halfstep", domain, lambda x: np.floor(2.0 * np.asarray(x, dtype=float)) / 2.0),
+        "dirichlet": RealFunction("dirichlet", domain, lambda x: np.ones_like(np.asarray(x, dtype=float))),
+        "randlip": RealFunction("randlip", domain, randlip_eval),
     }
     return MappingProxyType(members)

@@ -37,6 +37,9 @@ _NODE_HIT = 1e-14
 RIVLIN_LO = 0.9625
 RIVLIN_HI = 1.0
 
+#: points of the [-1, 1] grid that :func:`hermann_ratio` minimises over
+HERMANN_GRID = 257
+
 
 @dataclass(frozen=True)
 class ChebyshevGrid:
@@ -187,14 +190,14 @@ def lagrange_classical_bound(n: int, f: RealFunction, g: RealFunction,
     return out
 
 
-def hermann_ratio(n: int, grid_size: int = 1001) -> float:
+def hermann_ratio(n: int) -> float:
     """Diagnostic for the lower estimate on sum l_k^2.
 
-    Minimum over the grid of sum l_k^2(x) / (1 + cos^2(n t) pi^2/6) with
-    x = cos t.  The literature bound holds with an unspecified constant, so
-    this ratio is reported, never asserted.
+    Minimum over ``HERMANN_GRID`` points of sum l_k^2(x) / (1 + cos^2(n t)
+    pi^2/6) with x = cos t.  The literature bound holds with an unspecified
+    constant, so this ratio is reported, never asserted.
     """
-    xs = np.linspace(-1.0, 1.0, grid_size)
+    xs = np.linspace(-1.0, 1.0, HERMANN_GRID)
     ts = np.arccos(np.clip(xs, -1.0, 1.0))
     best = math.inf
     for x, t in zip(xs, ts):

@@ -23,6 +23,7 @@ __all__ = [
     "PointFunctional",
     "OperatorSpec",
     "FAMILIES",
+    "ONE_POINT_FAMILIES",
     "bernstein_at",
     "sdelta_at",
     "szasz_at",
@@ -45,6 +46,10 @@ FAMILIES = (
     "bernstein", "sdelta", "szasz", "baskakov", "bbh",
     "king", "two_point", "measure_example", "lagrange_cheb",
 )
+
+#: functionals of one point: they take a parameter a in [0, 1] in place of
+#: an evaluation point, have no degree (n = 1) and make one sweep block
+ONE_POINT_FAMILIES = ("two_point", "measure_example")
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,9 @@ class OperatorSpec:
             raise ValueError(f"unknown operator family {self.family!r}")
         if self.n < 1:
             raise ValueError("degree n must be >= 1")
-        if self.family in ("two_point", "measure_example"):
+        if self.family in ONE_POINT_FAMILIES:
+            if self.n != 1:
+                raise ValueError(f"{self.family} has no degree, got n = {self.n}")
             if self.param is None or not 0.0 <= self.param <= 1.0:
                 raise ValueError(f"{self.family} requires a parameter a in [0, 1]")
         elif self.param is not None:

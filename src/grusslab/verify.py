@@ -32,13 +32,12 @@ __all__ = [
     "run_suite",
     "conjecture_scan",
     "sharpness_suite",
-    "monotone_chebyshev_check",
+    "half_point_holds",
+    "equality_holds",
     "build_point_functional",
     "one_shot_bounds",
     "FAMILY_DOMAINS",
 ]
-
-DEFAULT_DEGREES = (1, 2, 3, 4, 8, 16, 32, 64)
 
 FAMILY_DOMAINS = {
     "bernstein": (0.0, 1.0),
@@ -84,13 +83,19 @@ FAMILY_BOUNDS = {
     "measure_example": ("measure_support", "gruss_quarter"),
 }
 
+#: points of the conjecture scan's x grid
+CONJECTURE_GRID = 513
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
+    """Every setting of a verification run; each is a ``grusslab verify`` flag,
+    and the flag defaults are these field defaults."""
+
     families: tuple[str, ...] = tuple(FAMILY_DOMAINS)
-    degrees: tuple[int, ...] = DEFAULT_DEGREES
+    degrees: tuple[int, ...] = (1, 2, 3, 4, 8, 16, 32, 64)
     x_grid: int = 257
     functions: tuple[str, ...] = CORPUS_NAMES
-    base_rel_tol: float = bnd.BASE_REL_TOL
     tail_eps: float = 1e-12
     quad_n: int = 2048
     grid_n: int = DEFAULT_GRID
@@ -99,8 +104,8 @@ class SuiteConfig:
     conjecture_nmax: int = 64
 
     def __post_init__(self):
-        if not self.degrees:
-            raise ValueError("degree list must be nonempty")
+        if not (self.families and self.degrees and self.functions):
+            raise ValueError("family, degree and function lists must be nonempty")
         if self.x_grid < 3:
             raise ValueError("x grid needs at least 3 points")
         unknown = set(self.families) - set(FAMILY_DOMAINS)
@@ -133,7 +138,7 @@ class VerificationReport:
 
 
 def build_point_functional(spec: ops.OperatorSpec, x: float,
-                           tail_eps: float = 1e-12) -> ops.PointFunctional:
+                           tail_eps: float = SuiteConfig.tail_eps) -> ops.PointFunctional:
     """Functional for one operator spec at an evaluation point."""
     fam = spec.family
     if fam == "bernstein":
@@ -156,11 +161,11 @@ def build_point_functional(spec: ops.OperatorSpec, x: float,
 
 
 def one_shot_bounds(spec: ops.OperatorSpec, x: float, f: RealFunction,
-                    g: RealFunction, quad_n: int = 2048) -> bnd.BoundResult:
+                    g: RealFunction, quad_n: int = SuiteConfig.quad_n) -> bnd.BoundResult:
     """|T| and the rows the sweep gates for one operator, point and pair
     (two_point and measure_example take their parameter a as x)."""
     op = spec.spec_string()
-    if spec.family in ("two_point", "measure_example"):
+    if spec.family in ops.ONE_POINT_FAMILIES:
         x = spec.param
     if spec.family in ("lagrange_cheb", "measure_example"):
         # the signed Lagrange functional and the mixed measure, which has no
@@ -282,6 +287,10 @@ def _json_number(v) -> float | str:
     return v if math.isfinite(v) else str(v)
 
 
+def _degrees(family: str, cfg: SuiteConfig) -> tuple[int, ...]:
+    return (1,) if family in ops.ONE_POINT_FAMILIES else cfg.degrees
+
+
 def _x_grid(family: str, cfg: SuiteConfig) -> np.ndarray:
     lo, hi = FAMILY_DOMAINS[family]
     if math.isinf(hi):
@@ -328,11 +337,11 @@ def _sweep_block(family: str, n: int, cfg: SuiteConfig, corpus,
 # non-sweep suites
 
 
-def conjecture_scan(n_max: int, grid: int = DEFAULT_GRID) -> list[dict]:
+def conjecture_scan(n_max: int, grid: int = CONJECTURE_GRID) -> list[dict]:
     """Evidence table for the three shape conjectures about phi_n.
 
     The convexity and unimodality scans are reported only; the global-minimum
-    statement is proven, so ``min_gap_to_half`` is expected >= -1e-12.
+    statement is proven, and each row is gated by :func:`half_point_holds`.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -354,6 +363,12 @@ def conjecture_scan(n_max: int, grid: int = DEFAULT_GRID) -> list[dict]:
     return findings
 
 
+def half_point_holds(row: dict) -> bool:
+    """The asserted conjecture on one ``conjecture_scan`` row: phi_n stays at
+    or above phi_n(1/2), up to rounding.  A NaN gap fails."""
+    return row["min_gap_to_half"] >= -1e-12
+
+
 def _phi_grid(n: int, xs: np.ndarray) -> np.ndarray:
     """Vectorized sum of squared binomial masses over a grid of x values."""
     p = np.minimum(xs, 1.0 - xs)  # phi is invariant under weight reversal
@@ -371,7 +386,7 @@ def _phi_grid(n: int, xs: np.ndarray) -> np.ndarray:
 
 
 def sharpness_suite() -> list[dict]:
-    """Equality witnesses; every |lhs - rhs| is expected at or below 1e-10."""
+    """Equality witnesses, each gated by :func:`equality_holds`."""
     corpus01 = standard_corpus((0.0, 1.0))
     corpus_pm = standard_corpus((-1.0, 1.0))
     e1, e1pm = corpus01["e1"], corpus_pm["e1"]
@@ -413,47 +428,10 @@ def sharpness_suite() -> list[dict]:
     return out
 
 
-def monotone_chebyshev_check(cfg: SuiteConfig | None = None) -> dict:
-    """Sign checks for comonotone and antimonotone pairs on sample functionals."""
-    cfg = cfg or SuiteConfig(x_grid=33)
-    corpus = standard_corpus((0.0, 1.0), cfg.seed, cfg.x_max)
-    corpus_inf = standard_corpus((0.0, math.inf), cfg.seed, cfg.x_max)
-    anti01 = RealFunction("one_minus_e1", (0.0, 1.0), lambda v: 1.0 - np.asarray(v, float))
-    anti_inf = RealFunction("one_minus_e1", (0.0, math.inf), lambda v: 1.0 - np.asarray(v, float))
-
-    worst_com = worst_anti = None
-    witness_com = witness_anti = None
-    samples = []
-    for family in ("bernstein", "sdelta", "king", "two_point"):
-        for n in (1, 3, 8):
-            for x in np.linspace(0.0, 1.0, 9):
-                samples.append((family, n, float(x), corpus, anti01))
-    for family in ("szasz", "baskakov", "bbh"):
-        for n in (1, 3, 8):
-            for x in np.linspace(0.0, cfg.x_max, 9):
-                samples.append((family, n, float(x), corpus_inf, anti_inf))
-    for family, n, x, crp, anti in samples:
-        param = x if family == "two_point" else None
-        spec = ops.OperatorSpec(family, 1 if family == "two_point" else n, param)
-        L = build_point_functional(spec, x, cfg.tail_eps)
-        for f, g, kind in ((crp["e1"], crp["e2"], "com"),
-                           (crp["e1"], crp["e1"], "com"),
-                           (crp["e1"], anti, "anti")):
-            t = ops.chebyshev_T(L, f, g)
-            if kind == "com" and _beyond(t, worst_com, True):
-                worst_com = t
-                witness_com = {"operator": family, "n": n, "x": x, "g": g.name}
-            if kind == "anti" and _beyond(t, worst_anti, False):
-                worst_anti = t
-                witness_anti = {"operator": family, "n": n, "x": x}
-    return {
-        "min_comonotone_T": worst_com,
-        "max_antimonotone_T": worst_anti,
-        "comonotone_witness": witness_com,
-        "antimonotone_witness": witness_anti,
-        "pass": math.isfinite(worst_com) and math.isfinite(worst_anti)
-        and worst_com >= -1e-12 and worst_anti <= 1e-12,
-    }
+def equality_holds(row: dict) -> bool:
+    """Whether one ``sharpness_suite`` witness holds with equality, up to
+    rounding.  A NaN gap fails."""
+    return row["gap"] <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +452,12 @@ def _identity_suite(cfg: SuiteConfig, corpora) -> dict:
         domain = FAMILY_DOMAINS[family]
         corpus = corpora[domain]
         funcs = [corpus[nm] for nm in names]
-        degrees = (1,) if family == "two_point" else cfg.degrees
         xs = _x_grid(family, cfg)
         sample = xs[:: max(1, (len(xs) - 1) // 4)]
-        for n in degrees:
+        for n in _degrees(family, cfg):
             for x in sample:
-                spec = ops.OperatorSpec(family, n, float(x) if family == "two_point" else None)
+                param = float(x) if family in ops.ONE_POINT_FAMILIES else None
+                spec = ops.OperatorSpec(family, n, param)
                 L = build_point_functional(spec, float(x), cfg.tail_eps)
                 fv = np.stack([f.values(L.nodes) for f in funcs])
                 scale_f = 1.0 + np.max(np.abs(fv), axis=1)
@@ -535,8 +513,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerificationReport:
     cells = checks = 0
     com = anti = None  # (value, witness) of the extreme sign statistics
     fam_seen, bound_seen = set(), set()
-    blocks = [(family, n) for family in cfg.families
-              for n in ((1,) if family in ("two_point", "measure_example") else cfg.degrees)]
+    blocks = [(family, n) for family in cfg.families for n in _degrees(family, cfg)]
     for family, n in blocks:
         acc = _sweep_block(family, n, cfg, corpora[FAMILY_DOMAINS[family]], names)
         if acc.error is not None:
@@ -586,12 +563,14 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerificationReport:
     for w in witnesses:
         if _beyond(w["gap"], None if worst is None else worst["gap"], False):
             worst = w
-    sharp = {"pass": worst["gap"] <= 1e-10, "max_abs_gap": _json_number(worst["gap"]),
+    sharp = {"pass": equality_holds(worst), "max_abs_gap": _json_number(worst["gap"]),
              "witnesses": [{k: _json_number(v) if isinstance(v, float) else v
                             for k, v in w.items()} for w in witnesses]}
 
-    conj = conjecture_scan(cfg.conjecture_nmax, min(cfg.grid_n, 513))
-    conj_pass = all(f["min_gap_to_half"] >= -1e-12 for f in conj)
+    conj = conjecture_scan(cfg.conjecture_nmax, min(cfg.grid_n, CONJECTURE_GRID))
+    conj_pass = all(half_point_holds(f) for f in conj)
+    conj = [{k: _json_number(v) if isinstance(v, float) else v for k, v in f.items()}
+            for f in conj]
 
     rivlin = []
     if "lagrange_cheb" in cfg.families:
@@ -603,7 +582,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerificationReport:
                 "gap": gap,
                 "in_window": None if gap is None
                 else bool(lag.RIVLIN_LO < gap < lag.RIVLIN_HI),
-                "hermann_min_ratio": lag.hermann_ratio(n, 257),
+                "hermann_min_ratio": lag.hermann_ratio(n),
             })
 
     suites = {

@@ -125,6 +125,8 @@ class TestBoundsCommand:
         ["--op", "measure_example:1:1.5"],
         ["--op", "bernstein:8:0.3", "--x", "0.7"],
         ["--op", "szasz:4:2"],
+        ["--op", "two_point:7:0.5"],
+        ["--op", "measure_example:9:0.5"],
     ])
     def test_out_of_domain_fails(self, args, capsys):
         code, out, err = run_cli(["bounds"] + args, capsys)
@@ -237,6 +239,91 @@ class TestSharpnessCommand:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert all(float(r["gap"]) <= 1e-10 for r in rows)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _verify_config(monkeypatch, flags):
+    """The SuiteConfig `verify` builds from ``flags``."""
+    import grusslab.cli as cli_mod
+
+    def capture(cfg):
+        raise _Captured(cfg)
+    monkeypatch.setattr(cli_mod, "run_suite", capture)
+    with pytest.raises(_Captured) as exc:
+        main(["verify", *flags])
+    return exc.value.args[0]
+
+
+class TestVerifyFlags:
+    def test_no_flags_give_the_default_config(self, monkeypatch):
+        from grusslab.verify import SuiteConfig
+        assert _verify_config(monkeypatch, []) == SuiteConfig()
+
+    def test_every_field_is_settable(self, monkeypatch):
+        import dataclasses
+
+        from grusslab.verify import SuiteConfig
+        cfg = _verify_config(monkeypatch, [
+            "--families", "bernstein,szasz", "--degrees", "3,5", "--xgrid", "9",
+            "--functions", "e0,e1", "--grid", "101", "--tail-eps", "1e-11",
+            "--quad-n", "64", "--xmax", "20", "--seed", "7",
+            "--conjecture-nmax", "2"])
+        default = SuiteConfig()
+        unset = [f.name for f in dataclasses.fields(SuiteConfig)
+                 if getattr(cfg, f.name) == getattr(default, f.name)]
+        assert unset == []
+        assert (cfg.families, cfg.degrees) == (("bernstein", "szasz"), (3, 5))
+
+
+GATE_SUITE = dict(families=("two_point",), degrees=(1,), x_grid=9, grid_n=101,
+                  conjecture_nmax=3)
+
+
+class TestGatesAgree:
+    """Each command fails exactly when the suite that runs it fails."""
+
+    @pytest.mark.parametrize("gap,holds", [(math.nan, False), (-2e-12, False),
+                                           (-0.5e-12, True)])
+    def test_half_point(self, gap, holds, monkeypatch, capsys):
+        import grusslab.cli as cli_mod
+        from grusslab import verify
+        scan = verify.conjecture_scan
+
+        def shifted(n_max, grid=verify.CONJECTURE_GRID):
+            rows = scan(n_max, grid)
+            rows[-1]["min_gap_to_half"] = gap
+            return rows
+        monkeypatch.setattr(cli_mod, "conjecture_scan", shifted)
+        monkeypatch.setattr(verify, "conjecture_scan", shifted)
+        code, _, err = run_cli(["conjectures", "--nmax", "3", "--grid", "65"], capsys)
+        assert code == (0 if holds else 1)
+        assert ("half-point minimum violated at n=3" in err) is not holds
+        report = verify.run_suite(verify.SuiteConfig(**GATE_SUITE))
+        assert report.suites["conjectures"]["pass"] is holds
+        assert report.passed is holds
+        json.loads(report.to_json(), parse_constant=_no_constants)
+
+    @pytest.mark.parametrize("gap,holds", [(2e-10, False), (0.5e-10, True)])
+    def test_equality(self, gap, holds, monkeypatch, capsys):
+        import grusslab.cli as cli_mod
+        from grusslab import verify
+        suite = verify.sharpness_suite
+
+        def off_by_gap():
+            rows = suite()
+            rows[3]["gap"] = gap
+            return rows
+        monkeypatch.setattr(cli_mod, "sharpness_suite", off_by_gap)
+        monkeypatch.setattr(verify, "sharpness_suite", off_by_gap)
+        code, _, err = run_cli(["sharpness"], capsys)
+        assert code == (0 if holds else 1)
+        assert ("equality witness off by" in err) is not holds
+        report = verify.run_suite(verify.SuiteConfig(**GATE_SUITE))
+        assert report.suites["sharpness"]["pass"] is holds
+        assert report.passed is holds
 
 
 class TestUsageErrors:

@@ -69,20 +69,6 @@ class TestRange:
         assert m == pytest.approx(0.0, abs=1e-15)
         assert M == 1.0
 
-    @pytest.mark.parametrize("name", CORPUS_NAMES)
-    def test_published_ranges_hold(self, name):
-        for domain in ((0.0, 1.0), (-1.0, 1.0), (0.0, math.inf)):
-            corpus = standard_corpus(domain)
-            f = corpus[name]
-            if not f.bounded:
-                continue
-            lo, hi = f.value_range
-            grid = uniform_grid(domain[0],
-                                50.0 if math.isinf(domain[1]) else domain[1], 701)
-            vals = f.values(grid.nodes)
-            assert vals.min() >= lo - 1e-12
-            assert vals.max() <= hi + 1e-12
-
 
 class TestModulus:
     def test_identity_largest_gap(self, corpus01):

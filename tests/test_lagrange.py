@@ -201,4 +201,4 @@ class TestIdempotence:
 
 def test_hermann_ratio_positive():
     for n in (2, 8, 32):
-        assert lag.hermann_ratio(n, 257) > 0.0
+        assert lag.hermann_ratio(n) > 0.0

@@ -4,8 +4,7 @@ import pytest
 
 from grusslab import operators as ops
 from grusslab.verify import (SuiteConfig, build_point_functional,
-                             conjecture_scan, monotone_chebyshev_check,
-                             run_suite, sharpness_suite)
+                             conjecture_scan, run_suite, sharpness_suite)
 
 FAST = dict(degrees=(1, 2, 4), x_grid=17, grid_n=201, conjecture_nmax=6, quad_n=256)
 
@@ -169,14 +168,6 @@ class TestSharpness:
         assert rec["lhs"] == pytest.approx(0.5, abs=1e-14)
 
 
-class TestMonotone:
-    def test_signs(self):
-        out = monotone_chebyshev_check(SuiteConfig(**FAST))
-        assert out["pass"]
-        assert out["min_comonotone_T"] >= -1e-12
-        assert out["max_antimonotone_T"] <= 1e-12
-
-
 class TestBuildFunctional:
     @pytest.mark.parametrize("spec_text,x", [
         ("bernstein:4", 0.3), ("sdelta:8", 0.22), ("szasz:2", 3.0),
@@ -243,13 +234,3 @@ class TestSignStatistics:
         acc.sign_stats(np.array([0.75]), t[:1] - 1.0, np.array([0.5]), names)
         assert np.isnan(acc.com[0]) and acc.com[1] == 0.5
         assert acc.anti == (0.5, 0.75)
-
-    def test_monotone_check_keeps_nan(self, monkeypatch):
-        chebyshev_T = ops.chebyshev_T
-
-        def nan_for_anti(L, f, g):
-            return float("nan") if g.name == "one_minus_e1" else chebyshev_T(L, f, g)
-        monkeypatch.setattr(ops, "chebyshev_T", nan_for_anti)
-        out = monotone_chebyshev_check(SuiteConfig(**FAST))
-        assert not out["pass"]
-        assert out["max_antimonotone_T"] != out["max_antimonotone_T"]
