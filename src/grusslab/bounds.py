@@ -64,7 +64,7 @@ BATCH_BYTES = 256 * 1024
 BATCH_POINTS = 64
 
 #: families whose functionals are cut at a declared tail mass
-TRUNCATED_FAMILIES = ("szasz", "baskakov")
+TRUNCATED_FAMILIES = tuple(name for name, fam in ops.FAMILY.items() if fam.truncated)
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ class Batch:
         self.block, self.tail = block, tail
         self.xs = block.xs[start:start + len(w if t is None else t)]
         if w is not None:
-            if block.family in TRUNCATED_FAMILIES:
+            if block.fam.truncated:
                 w = w / np.sum(w, axis=1, keepdims=True)
             self.a = w @ v.T
             t = (v * w[:, None, :]) @ v.T - _col(self.a) * _row(self.a)
@@ -187,7 +187,7 @@ class Batch:
     def pair_coef(self) -> np.ndarray:
         """sum_{k<l} |w_k w_l|, which is (1 - sum w^2)/2 for positive weights."""
         ssq = np.einsum("bk,bk->b", self.w, self.w)
-        if self.block.family == "lagrange_cheb":
+        if self.block.fam.signed:
             return _per_x(np.maximum(0.0, 0.5 * (np.sum(np.abs(self.w), axis=1) ** 2
                                                  - ssq)))
         return _per_x(0.5 * (1.0 - ssq))
@@ -228,7 +228,7 @@ class Block:
 
     def __init__(self, family: str, n: int, xs, funcs, *,
                  grid_n: int = DEFAULT_GRID, x_max: float = DEFAULT_XMAX,
-                 quad_n: int = 2048, tail_eps: float = 1e-12):
+                 quad_n: int = ops.QUAD_N, tail_eps: float = ops.TAIL_EPS):
         self.family, self.n = family, n
         self.xs = np.atleast_1d(np.asarray(xs, dtype=float))
         self.funcs = tuple(funcs)
@@ -238,6 +238,7 @@ class Block:
         self.rows = tuple(b for b in BOUNDS if family in b.families)
         if not self.rows:
             raise ValueError(f"unknown family {family!r}")
+        self.fam = ops.FAMILY[family]
         lo, hi = self.funcs[0].domain
         if np.any(self.xs < lo) or np.any(self.xs > hi):
             raise ValueError(f"{family} requires x in [{lo:g}, {hi:g}]")
@@ -290,93 +291,53 @@ class Block:
 
     def batches(self):
         """The block's points in x order, in batches of consecutive x."""
-        if self.family == "measure_example":
+        if self.fam.weights is None:
             yield from self._measure_batches()
-        elif self.family in TRUNCATED_FAMILIES:
-            yield from self._truncated_batches()
         else:
-            yield from self._node_batches()
+            yield from self._point_batches()
 
-    def _node_batches(self):
-        fam, n = self.family, self.n
-        weights = {
-            "two_point": lambda x: np.array([1.0 - x, x]),
-            "bernstein": lambda x: ops._binomial_weights(n, x),
-            "bbh": lambda x: ops._binomial_weights(n, x / (1.0 + x)),
-            "king": lambda x: ops._binomial_weights(n, ops.r_star(n, x)),
-            "lagrange_cheb": lambda x: lag.basis_weights(n, x),
-        }.get(fam)
-        if fam == "two_point":
-            nodes = np.array([0.0, 1.0])
-        elif fam == "bbh":
-            ks = np.arange(n + 1)
-            nodes = ks / (n - ks + 1.0)
-        elif fam == "lagrange_cheb":
-            nodes = lag.chebyshev_grid(n).nodes
-        else:
-            nodes = np.arange(n + 1) / n
-        v = _rows_at(self.funcs, nodes)
-        for start, stop in self._spans(v.shape[1]):
-            xs = self.xs[start:stop]
-            if fam == "sdelta":
-                w, osc = self._hat_weights(v, xs)
-                yield Batch(self, start, v, w, osc=osc)
-            else:
-                yield Batch(self, start, v, np.stack([weights(float(x)) for x in xs]))
-
-    def _hat_weights(self, v: np.ndarray, xs):
-        """sdelta weights over all n + 1 knots, and the oscillations over
-        each x's own one or two knots."""
-        n = self.n
-        w = np.zeros((len(xs), n + 1))
-        lo = np.empty(len(xs), dtype=int)
-        hi = np.empty(len(xs), dtype=int)
-        for b, x in enumerate(xs):
-            k, u = ops._sdelta_cell(n, float(x))
-            if u == 0.0:
-                lo[b] = hi[b] = min(k, n)
-                w[b, lo[b]] = 1.0
-            else:
-                lo[b], hi[b] = k, k + 1
-                w[b, k], w[b, k + 1] = 1.0 - u, u
-        return w, np.abs(v[:, hi] - v[:, lo]).T
-
-    def _truncated_batches(self):
-        """Consecutive x grouped while their widest window fits the budget."""
-        n, eps = self.n, self.tail_eps
-
-        def weights_at(x: float):
-            if self.family == "szasz":
-                return ops._poisson_weights(n * x, eps)
-            return ops._negbin_weights(n, x, eps)
-
-        # node values, widened in steps of 256 nodes as the windows grow
-        size = weights_at(float(self.xs[-1]))[0].size + 8
+    def _point_batches(self):
+        """Consecutive x grouped while the widest of their node arrays fits
+        the budget: every node of a fixed-node family, the window of a
+        truncated one."""
+        fam, n, eps, truncated = self.fam, self.n, self.tail_eps, self.fam.truncated
         v = np.empty((len(self.funcs), 0))
-        start, pending, widest = 0, [], 0
+        if truncated:
+            # node values k/n, widened in steps of 256 nodes as the windows grow
+            size = fam.weights(n, float(self.xs[-1]), eps)[0].size + 8
+        else:
+            v = _rows_at(self.funcs, fam.nodes(n))
+        start, points, widest = 0, [], 0
         for ix, x in enumerate(self.xs):
             self.x_span = (float(self.xs[start]), float(x))
-            w, tail = weights_at(float(x))
-            if pending and len(pending) + 1 > self._batch_len(max(widest, w.size)):
-                yield self._window_batch(start, v, pending)
-                start, pending, widest = ix, [], 0
+            w, tail, span = fam.weights(n, float(x), eps)
+            width = w.size if truncated else v.shape[1]
+            if points and len(points) + 1 > self._batch_len(max(widest, width)):
+                yield self._batch(start, v, points, widest)
+                start, points, widest = ix, [], 0
                 self.x_span = (float(x), float(x))
-            pending.append((w, tail))
-            widest = max(widest, w.size)
-            if w.size > v.shape[1]:
+            points.append((w, tail, span))
+            widest = max(widest, width)
+            if truncated and w.size > v.shape[1]:
                 size = max(size, w.size) + 256
                 v = _rows_at(self.funcs, np.arange(size) / n)
-        yield self._window_batch(start, v, pending)
+        yield self._batch(start, v, points, widest)
 
-    def _window_batch(self, start: int, v: np.ndarray, pending) -> Batch:
-        self.x_span = (float(self.xs[start]), float(self.xs[start + len(pending) - 1]))
-        sizes = np.array([w.size for w, _ in pending])
-        w = np.zeros((len(pending), sizes.max()))
-        for b, (wb, _) in enumerate(pending):
-            w[b, : wb.size] = wb
-        osc = np.stack([v[:, :k].max(axis=1) - v[:, :k].min(axis=1) for k in sizes])
-        return Batch(self, start, v[:, : w.shape[1]], w, osc=osc,
-                     tail=np.array([tail for _, tail in pending]))
+    def _batch(self, start: int, v: np.ndarray, points, width: int) -> Batch:
+        """A batch of ``(w, tail, span)`` points: each w placed at its span of
+        a zero-padded (batch, width) array, with oscillations over each span
+        unless every point reads every node."""
+        self.x_span = (float(self.xs[start]), float(self.xs[start + len(points) - 1]))
+        spans = [(0, w.size) if span is None else span for w, _, span in points]
+        w = np.zeros((len(points), width))
+        for b, ((wb, _, _), (lo, hi)) in enumerate(zip(points, spans)):
+            w[b, lo:hi] = wb
+        osc = None
+        if any(span is not None for _, _, span in points):
+            osc = np.stack([v[:, lo:hi].max(axis=1) - v[:, lo:hi].min(axis=1)
+                            for lo, hi in spans])
+        tail = np.array([t for _, t, _ in points]) if self.fam.truncated else None
+        return Batch(self, start, v[:, :width], w, osc=osc, tail=tail)
 
     def _measure_batches(self):
         xq, sw = ops.simpson_weights(self.quad_n)
@@ -424,11 +385,10 @@ class Block:
 
 
 def evaluate_cell(operator: str, n: int, x: float, L: PointFunctional,
-                  f: RealFunction, g: RealFunction, family: str,
-                  grid_n: int = DEFAULT_GRID) -> BoundResult:
+                  f: RealFunction, g: RealFunction, family: str) -> BoundResult:
     """One-shot rows of a positive family for its functional ``L`` at x: the
     sweep's table over a batch of one."""
-    block = Block(family, n, [x], (f, g), grid_n=grid_n)
+    block = Block(family, n, [x], (f, g))
     return block.one_shot(operator, Batch(block, 0, _rows_at(block.funcs, L.nodes),
                                           L.weights[None, :]))
 
@@ -572,19 +532,19 @@ _WS_FAMILIES = ("bernstein", "sdelta", "king")
 
 
 def classical_ws_bound(family: str, n: int, x: float, f: RealFunction,
-                       g: RealFunction, grid_n: int = 1001) -> float:
+                       g: RealFunction) -> float:
     """Least-concave-majorant bound (1/4) w~(f; 2 sqrt(M2)) w~(g; 2 sqrt(M2))."""
     if family not in _WS_FAMILIES:
         raise ValueError(f"no second-moment form stated for family {family!r}")
     m2 = special.second_moment(family, n, x)
     s = 2.0 * math.sqrt(m2)
-    wf = cached_envelope(f, grid_n).hull_value(s)
-    wg = cached_envelope(g, grid_n).hull_value(s)
+    wf = cached_envelope(f, DEFAULT_GRID).hull_value(s)
+    wg = cached_envelope(g, DEFAULT_GRID).hull_value(s)
     return 0.25 * wf * wg
 
 
-def classical_ws_uniform(family: str, n: int, f: RealFunction, g: RealFunction,
-                         grid_n: int = 1001) -> float:
+def classical_ws_uniform(family: str, n: int, f: RealFunction,
+                         g: RealFunction) -> float:
     """x-free majorant of the classical bound: step 1/sqrt(n) resp. 1/n."""
     if family == "bernstein":
         s = 1.0 / math.sqrt(n)
@@ -592,8 +552,8 @@ def classical_ws_uniform(family: str, n: int, f: RealFunction, g: RealFunction,
         s = 1.0 / n
     else:
         raise ValueError(f"no x-free classical form stated for family {family!r}")
-    wf = cached_envelope(f, grid_n).hull_value(s)
-    wg = cached_envelope(g, grid_n).hull_value(s)
+    wf = cached_envelope(f, DEFAULT_GRID).hull_value(s)
+    wg = cached_envelope(g, DEFAULT_GRID).hull_value(s)
     return 0.25 * wf * wg
 
 

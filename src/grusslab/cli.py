@@ -79,7 +79,7 @@ def _cmd_verify(args) -> int:
                         if isinstance(r["margin"], float) else -math.inf)
             print(f"worst failing margin: {json.dumps(worst, sort_keys=True)}",
                   file=sys.stderr)
-        else:
+        elif not sweep["pass"]:
             # exclude recorded-only bounds so the witness names a gated check
             gated = {k: v for k, v in sweep["worst_margins"].items()
                      if k not in sweep.get("report_only", ())}
@@ -111,6 +111,8 @@ def _suite_witness(suite: str, body: dict) -> dict | None:
                                      "max_antimonotone_T", "antimonotone_witness")}
     if suite == "sharpness":
         return next(w for w in body["witnesses"] if w["gap"] == body["max_abs_gap"])
+    if suite == "conjectures":
+        return next(row for row in body["findings"] if not half_point_holds(row))
     return None
 
 

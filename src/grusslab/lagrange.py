@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import NodeSet, RealFunction, cached_envelope, oscillation
-from .operators import PointFunctional, chebyshev_T
+from .funcspace import (DEFAULT_GRID, NodeSet, RealFunction, cached_envelope,
+                        oscillation)
+from .operators import PointFunctional, chebyshev_T, point_functional
 
 __all__ = [
     "ChebyshevGrid",
@@ -39,6 +40,9 @@ RIVLIN_HI = 1.0
 
 #: points of the [-1, 1] grid that :func:`hermann_ratio` minimises over
 HERMANN_GRID = 257
+
+#: points of the [-1, 1] grid that :func:`lebesgue_constant` starts from
+LEBESGUE_GRID = 4097
 
 
 @dataclass(frozen=True)
@@ -84,11 +88,7 @@ def basis_weights(n: int, x: float) -> np.ndarray:
 
 def lagrange_basis(n: int, x: float) -> PointFunctional:
     """The interpolation functional at x as a (generally signed) PointFunctional."""
-    if not -1.0 <= x <= 1.0:
-        raise ValueError("lagrange_basis requires x in [-1, 1]")
-    grid = chebyshev_grid(n)
-    w = basis_weights(n, x)
-    return PointFunctional(grid.nodes, w, positive=bool(np.min(w) >= -1e-15))
+    return point_functional("lagrange_cheb", n, x)
 
 
 def lebesgue_function(n: int, x: float) -> float:
@@ -110,17 +110,15 @@ def _lebesgue_on(n: int, xs: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=512)
-def lebesgue_constant(n: int, grid_size: int = 4097) -> float:
+def lebesgue_constant(n: int) -> float:
     """max of Lambda_n over [-1, 1]: coarse grid plus golden-section refinement."""
-    if grid_size < 129:
-        raise ValueError("grid_size must be at least 129")
     if n == 1:
         return 1.0
-    xs = np.linspace(-1.0, 1.0, grid_size)
+    xs = np.linspace(-1.0, 1.0, LEBESGUE_GRID)
     lam = _lebesgue_on(n, xs)
     i = int(np.argmax(lam))
     lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, grid_size - 1)]
+    hi = xs[min(i + 1, LEBESGUE_GRID - 1)]
     best = float(lam[i])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -149,9 +147,9 @@ def pair_product_sum(n: int, x: float) -> float:
     return max(0.0, 0.5 * (lam * lam - ssq))
 
 
-def rivlin_gap(n: int, grid_size: int = 4097) -> float:
+def rivlin_gap(n: int) -> float:
     """||L_n|| - (2/pi) ln n; lands in (0.9625, 1) for n >= 2."""
-    return lebesgue_constant(n, grid_size) - (2.0 / math.pi) * math.log(n)
+    return lebesgue_constant(n) - (2.0 / math.pi) * math.log(n)
 
 
 def lagrange_new_bound(n: int, f: RealFunction, g: RealFunction, x: float):
@@ -167,8 +165,8 @@ def lagrange_new_bound(n: int, f: RealFunction, g: RealFunction, x: float):
                        f=f.name, g=g.name, lhs=lhs, rhs={"new_osc": rhs})
 
 
-def lagrange_classical_bound(n: int, f: RealFunction, g: RealFunction,
-                             grid_n: int = 1001) -> dict[str, float]:
+def lagrange_classical_bound(n: int, f: RealFunction,
+                             g: RealFunction) -> dict[str, float]:
     """The x-free norm-form bound and its logarithmic majorants.
 
     ``classical_norm``: (1/4) ||L_n|| (1 + ||L_n||) w~(f;2) w~(g;2).
@@ -176,8 +174,8 @@ def lagrange_classical_bound(n: int, f: RealFunction, g: RealFunction,
     ``classical_log_stated``: the looser (2/pi) log^2 variant, kept so both
     printed forms of the estimate are on record.
     """
-    wf = cached_envelope(f, grid_n).hull_value(2.0)
-    wg = cached_envelope(g, grid_n).hull_value(2.0)
+    wf = cached_envelope(f, DEFAULT_GRID).hull_value(2.0)
+    wg = cached_envelope(g, DEFAULT_GRID).hull_value(2.0)
     lam = lebesgue_constant(n)
     ln = math.log(n)
     out = {

@@ -1,7 +1,8 @@
 """Point functionals for the operator families and the Chebyshev functional.
 
 Every family is realized as a :class:`PointFunctional`: the nodes the
-functional reads plus the weights it attaches to them at an evaluation point.
+functional reads plus the weights it attaches to them at an evaluation point,
+both given by the family's one record in :data:`FAMILY`.
 Infinite families (Szasz, Baskakov) are truncated at a declared tail mass;
 weights are built by multiplicative ratio recurrences seeded at the
 distribution mode, which stays in range where a plain start at k=0 would
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -22,8 +24,13 @@ from .funcspace import NodeSet, RealFunction, oscillation, uniform_grid
 __all__ = [
     "PointFunctional",
     "OperatorSpec",
+    "Family",
+    "FAMILY",
     "FAMILIES",
     "ONE_POINT_FAMILIES",
+    "TAIL_EPS",
+    "QUAD_N",
+    "point_functional",
     "bernstein_at",
     "sdelta_at",
     "szasz_at",
@@ -42,14 +49,11 @@ __all__ = [
 _SUM_TOL = 1e-10
 _NEG_TOL = 1e-12
 
-FAMILIES = (
-    "bernstein", "sdelta", "szasz", "baskakov", "bbh",
-    "king", "two_point", "measure_example", "lagrange_cheb",
-)
+#: the tail mass a truncated functional may leave out, unless a caller sets one
+TAIL_EPS = 1e-12
 
-#: functionals of one point: they take a parameter a in [0, 1] in place of
-#: an evaluation point, have no degree (n = 1) and make one sweep block
-ONE_POINT_FAMILIES = ("two_point", "measure_example")
+#: composite Simpson panels of the mixed-measure example
+QUAD_N = 2048
 
 
 @dataclass(frozen=True)
@@ -239,16 +243,7 @@ def _negbin_weights(n: int, x: float, tail_eps: float) -> tuple[np.ndarray, floa
 
 
 # ---------------------------------------------------------------------------
-# families
-
-
-def bernstein_at(n: int, x: float) -> PointFunctional:
-    """Bernstein basis masses at x: nodes k/n, weights C(n,k) x^k (1-x)^(n-k)."""
-    _check_degree(n)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("bernstein_at requires x in [0, 1]")
-    nodes = np.arange(n + 1) / n
-    return PointFunctional(nodes, _binomial_weights(n, x), positive=True)
+# the family table
 
 
 def _sdelta_cell(n: int, x: float) -> tuple[int, float]:
@@ -269,53 +264,6 @@ def _sdelta_cell(n: int, x: float) -> tuple[int, float]:
     return k, u
 
 
-def sdelta_at(n: int, x: float) -> PointFunctional:
-    """Hat-function masses of piecewise-linear interpolation at equidistant knots."""
-    _check_degree(n)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("sdelta_at requires x in [0, 1]")
-    k, u = _sdelta_cell(n, x)
-    if u == 0.0:
-        return PointFunctional(np.array([x]), np.array([1.0]), positive=True)
-    nodes = np.array([k / n, (k + 1) / n])
-    weights = np.array([1.0 - u, u])
-    return PointFunctional(nodes, weights, positive=True)
-
-
-def szasz_at(n: int, x: float, tail_eps: float = 1e-12) -> PointFunctional:
-    """Truncated Poisson masses: nodes k/n, weights exp(-nx) (nx)^k / k!."""
-    _check_degree(n)
-    if x < 0.0:
-        raise ValueError("szasz_at requires x >= 0")
-    if tail_eps <= 0.0:
-        raise ValueError("tail_eps must be positive")
-    w, tail = _poisson_weights(n * x, tail_eps)
-    nodes = np.arange(w.size) / n
-    return PointFunctional(nodes, w, positive=True, tail_mass_bound=tail)
-
-
-def baskakov_at(n: int, x: float, tail_eps: float = 1e-12) -> PointFunctional:
-    """Truncated negative-binomial masses: C(n+k-1,k) x^k / (1+x)^(n+k)."""
-    _check_degree(n)
-    if x < 0.0:
-        raise ValueError("baskakov_at requires x >= 0")
-    if tail_eps <= 0.0:
-        raise ValueError("tail_eps must be positive")
-    w, tail = _negbin_weights(n, x, tail_eps)
-    nodes = np.arange(w.size) / n
-    return PointFunctional(nodes, w, positive=True, tail_mass_bound=tail)
-
-
-def bbh_at(n: int, x: float) -> PointFunctional:
-    """Bleimann-Butzer-Hahn masses: nodes k/(n-k+1), binomial weights at x/(1+x)."""
-    _check_degree(n)
-    if x < 0.0:
-        raise ValueError("bbh_at requires x >= 0")
-    ks = np.arange(n + 1)
-    nodes = ks / (n - ks + 1.0)
-    return PointFunctional(nodes, _binomial_weights(n, x / (1.0 + x)), positive=True)
-
-
 def r_star(n: int, x: float) -> float:
     """Reparameterization making the Bernstein-type family reproduce e2."""
     _check_degree(n)
@@ -333,18 +281,136 @@ def r_star(n: int, x: float) -> float:
     return r
 
 
+@dataclass(frozen=True)
+class Family:
+    """One operator family: where it is evaluated, what it reads, and how.
+
+    ``nodes(n)`` is the node array at degree n, or None where the nodes are
+    k/n over a window cut at a declared tail mass.  ``weights(n, x,
+    tail_eps)`` returns ``(w, tail, span)``: the weights at x, the tail mass
+    they leave out, and the index range [lo, hi) of the node array that ``w``
+    covers when it covers only part of it (None: every node).  ``signed``
+    weights may be negative.  A ``one_point`` family takes a parameter a in
+    [0, 1] in place of x, has no degree (n = 1) and makes one sweep block.  A
+    family without weights (the mixed measure) has no point form.
+    """
+
+    domain: tuple[float, float]
+    nodes: Callable[[int], np.ndarray] | None = None
+    weights: Callable[[int, float, float], tuple] | None = None
+    signed: bool = False
+    one_point: bool = False
+
+    @property
+    def truncated(self) -> bool:
+        return self.nodes is None and self.weights is not None
+
+
+def _unit_nodes(n: int) -> np.ndarray:
+    return np.arange(n + 1) / n
+
+
+def _hat_weights(n: int, x: float, _tail_eps: float):
+    """sdelta masses on the one knot x hits, or on the two knots around x."""
+    k, u = _sdelta_cell(n, x)
+    if u == 0.0:
+        return np.array([1.0]), 0.0, (k, k + 1)
+    return np.array([1.0 - u, u]), 0.0, (k, k + 2)
+
+
+def _window(w: np.ndarray, tail: float):
+    return w, tail, (0, w.size)
+
+
+def _lagrange():
+    """The lagrange module, reached at call time: it imports this one."""
+    from . import lagrange
+    return lagrange
+
+
+_UNIT, _RAY = (0.0, 1.0), (0.0, math.inf)
+
+#: every operator family, in the sweep's block order.  The weight builders are
+#: looked up when called, so that a profiler can wrap them in this module
+FAMILY = {
+    "bernstein": Family(_UNIT, _unit_nodes,
+                        lambda n, x, _eps: (_binomial_weights(n, x), 0.0, None)),
+    "sdelta": Family(_UNIT, _unit_nodes, _hat_weights),
+    "king": Family(_UNIT, _unit_nodes,
+                   lambda n, x, _eps: (_binomial_weights(n, r_star(n, x)), 0.0, None)),
+    "two_point": Family(_UNIT, lambda _n: np.array([0.0, 1.0]),
+                        lambda _n, a, _eps: (np.array([1.0 - a, a]), 0.0, None),
+                        one_point=True),
+    "measure_example": Family(_UNIT, one_point=True),
+    "szasz": Family(_RAY, None,
+                    lambda n, x, eps: _window(*_poisson_weights(n * x, eps))),
+    "baskakov": Family(_RAY, None,
+                       lambda n, x, eps: _window(*_negbin_weights(n, x, eps))),
+    "bbh": Family(_RAY, lambda n: np.arange(n + 1) / (n + 1.0 - np.arange(n + 1)),
+                  lambda n, x, _eps: (_binomial_weights(n, x / (1.0 + x)), 0.0, None)),
+    "lagrange_cheb": Family((-1.0, 1.0), lambda n: _lagrange().chebyshev_grid(n).nodes,
+                            lambda n, x, _eps: (_lagrange().basis_weights(n, x), 0.0, None),
+                            signed=True),
+}
+
+FAMILIES = tuple(FAMILY)
+ONE_POINT_FAMILIES = tuple(name for name, fam in FAMILY.items() if fam.one_point)
+
+
+def point_functional(family: str, n: int, x: float,
+                     tail_eps: float = TAIL_EPS) -> PointFunctional:
+    """The functional of ``family`` at degree n and point x (the parameter a
+    of a one-point family)."""
+    fam = FAMILY.get(family)
+    if fam is None or fam.weights is None:
+        raise ValueError(f"{family} has no point-functional form")
+    _check_degree(n)
+    lo, hi = fam.domain
+    if not lo <= x <= hi:
+        raise ValueError(f"{family} requires x in [{lo:g}, {hi:g}]")
+    if tail_eps <= 0.0:
+        raise ValueError("tail_eps must be positive")
+    w, tail, span = fam.weights(n, x, tail_eps)
+    nodes = np.arange(w.size) / n if fam.truncated else fam.nodes(n)
+    if span is not None:
+        nodes = nodes[span[0]:span[1]]
+    positive = not fam.signed or bool(np.min(w) >= -1e-15)
+    return PointFunctional(nodes, w, positive=positive, tail_mass_bound=tail)
+
+
+def bernstein_at(n: int, x: float) -> PointFunctional:
+    """Bernstein basis masses at x: nodes k/n, weights C(n,k) x^k (1-x)^(n-k)."""
+    return point_functional("bernstein", n, x)
+
+
+def sdelta_at(n: int, x: float) -> PointFunctional:
+    """Hat-function masses of piecewise-linear interpolation at equidistant knots."""
+    return point_functional("sdelta", n, x)
+
+
+def szasz_at(n: int, x: float, tail_eps: float = TAIL_EPS) -> PointFunctional:
+    """Truncated Poisson masses: nodes k/n, weights exp(-nx) (nx)^k / k!."""
+    return point_functional("szasz", n, x, tail_eps)
+
+
+def baskakov_at(n: int, x: float, tail_eps: float = TAIL_EPS) -> PointFunctional:
+    """Truncated negative-binomial masses: C(n+k-1,k) x^k / (1+x)^(n+k)."""
+    return point_functional("baskakov", n, x, tail_eps)
+
+
+def bbh_at(n: int, x: float) -> PointFunctional:
+    """Bleimann-Butzer-Hahn masses: nodes k/(n-k+1), binomial weights at x/(1+x)."""
+    return point_functional("bbh", n, x)
+
+
 def king_at(n: int, x: float) -> PointFunctional:
     """Bernstein weights evaluated at r_star(n, x); reproduces e0 and e2."""
-    r = r_star(n, x)
-    nodes = np.arange(n + 1) / n
-    return PointFunctional(nodes, _binomial_weights(n, r), positive=True)
+    return point_functional("king", n, x)
 
 
 def two_point(a: float) -> PointFunctional:
     """(1-a) f(0) + a f(1)."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("two_point requires a in [0, 1]")
-    return PointFunctional(np.array([0.0, 1.0]), np.array([1.0 - a, a]), positive=True)
+    return point_functional("two_point", 1, a)
 
 
 def _check_degree(n: int) -> None:
@@ -370,7 +436,7 @@ def simpson_weights(quad_n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def measure_example_T(a: float, f: RealFunction, g: RealFunction,
-                      quad_n: int = 2048,
+                      quad_n: int = QUAD_N,
                       grid: NodeSet | None = None) -> tuple[float, float]:
     """Chebyshev functional and oscillation bound for a*Lebesgue + (1-a)*delta_{1/2}.
 

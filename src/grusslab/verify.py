@@ -34,25 +34,15 @@ __all__ = [
     "sharpness_suite",
     "half_point_holds",
     "equality_holds",
-    "build_point_functional",
     "one_shot_bounds",
     "FAMILY_DOMAINS",
 ]
 
-FAMILY_DOMAINS = {
-    "bernstein": (0.0, 1.0),
-    "sdelta": (0.0, 1.0),
-    "king": (0.0, 1.0),
-    "two_point": (0.0, 1.0),
-    "measure_example": (0.0, 1.0),
-    "szasz": (0.0, math.inf),
-    "baskakov": (0.0, math.inf),
-    "bbh": (0.0, math.inf),
-    "lagrange_cheb": (-1.0, 1.0),
-}
+FAMILY_DOMAINS = {name: fam.domain for name, fam in ops.FAMILY.items()}
 
-#: families whose functionals are exact (no truncated tail)
-EXACT_FAMILIES = ("bernstein", "sdelta", "bbh", "king", "two_point", "lagrange_cheb")
+#: families whose functionals are exact: fixed nodes, no truncated tail
+EXACT_FAMILIES = tuple(name for name, fam in ops.FAMILY.items()
+                       if fam.nodes is not None)
 
 #: bound names each family must contribute to the sweep, written out apart
 #: from the bound table so that the coverage check does not check the table
@@ -96,8 +86,8 @@ class SuiteConfig:
     degrees: tuple[int, ...] = (1, 2, 3, 4, 8, 16, 32, 64)
     x_grid: int = 257
     functions: tuple[str, ...] = CORPUS_NAMES
-    tail_eps: float = 1e-12
-    quad_n: int = 2048
+    tail_eps: float = ops.TAIL_EPS
+    quad_n: int = ops.QUAD_N
     grid_n: int = DEFAULT_GRID
     x_max: float = DEFAULT_XMAX
     seed: int = DEFAULT_SEED
@@ -137,29 +127,6 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
 
-def build_point_functional(spec: ops.OperatorSpec, x: float,
-                           tail_eps: float = SuiteConfig.tail_eps) -> ops.PointFunctional:
-    """Functional for one operator spec at an evaluation point."""
-    fam = spec.family
-    if fam == "bernstein":
-        return ops.bernstein_at(spec.n, x)
-    if fam == "sdelta":
-        return ops.sdelta_at(spec.n, x)
-    if fam == "szasz":
-        return ops.szasz_at(spec.n, x, tail_eps)
-    if fam == "baskakov":
-        return ops.baskakov_at(spec.n, x, tail_eps)
-    if fam == "bbh":
-        return ops.bbh_at(spec.n, x)
-    if fam == "king":
-        return ops.king_at(spec.n, x)
-    if fam == "two_point":
-        return ops.two_point(spec.param if spec.param is not None else x)
-    if fam == "lagrange_cheb":
-        return lag.lagrange_basis(spec.n, x)
-    raise ValueError(f"{fam} has no point-functional form")
-
-
 def one_shot_bounds(spec: ops.OperatorSpec, x: float, f: RealFunction,
                     g: RealFunction, quad_n: int = SuiteConfig.quad_n) -> bnd.BoundResult:
     """|T| and the rows the sweep gates for one operator, point and pair
@@ -167,13 +134,14 @@ def one_shot_bounds(spec: ops.OperatorSpec, x: float, f: RealFunction,
     op = spec.spec_string()
     if spec.family in ops.ONE_POINT_FAMILIES:
         x = spec.param
-    if spec.family in ("lagrange_cheb", "measure_example"):
-        # the signed Lagrange functional and the mixed measure, which has no
-        # point form, take the sweep's own batch at one point
+    fam = ops.FAMILY[spec.family]
+    if fam.signed or fam.weights is None:
+        # signed functionals and the mixed measure, which has no point form,
+        # take the sweep's own batch at one point
         block = bnd.Block(spec.family, spec.n, [x], (f, g), quad_n=quad_n)
         return block.one_shot(op, next(block.batches()))
-    return bnd.evaluate_cell(op, spec.n, x, build_point_functional(spec, x), f, g,
-                             family=spec.family)
+    return bnd.evaluate_cell(op, spec.n, x, ops.point_functional(spec.family, spec.n, x),
+                             f, g, family=spec.family)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +278,8 @@ def _sweep_block(family: str, n: int, cfg: SuiteConfig, corpus,
     acc = _Accum(family, n)
     block = None
     # sign statistics are stated for positive functionals only
-    e1_row = names.index("e1") if "e1" in names and family != "lagrange_cheb" else None
+    e1_row = (names.index("e1") if "e1" in names and not ops.FAMILY[family].signed
+              else None)
     try:
         block = bnd.Block(family, n, _x_grid(family, cfg),
                           [corpus[nm] for nm in names], grid_n=cfg.grid_n,
@@ -365,8 +334,9 @@ def conjecture_scan(n_max: int, grid: int = CONJECTURE_GRID) -> list[dict]:
 
 def half_point_holds(row: dict) -> bool:
     """The asserted conjecture on one ``conjecture_scan`` row: phi_n stays at
-    or above phi_n(1/2), up to rounding.  A NaN gap fails."""
-    return row["min_gap_to_half"] >= -1e-12
+    or above phi_n(1/2), up to rounding.  A NaN gap fails, also where a report
+    row carries it by name ("nan")."""
+    return float(row["min_gap_to_half"]) >= -1e-12
 
 
 def _phi_grid(n: int, xs: np.ndarray) -> np.ndarray:
@@ -456,9 +426,7 @@ def _identity_suite(cfg: SuiteConfig, corpora) -> dict:
         sample = xs[:: max(1, (len(xs) - 1) // 4)]
         for n in _degrees(family, cfg):
             for x in sample:
-                param = float(x) if family in ops.ONE_POINT_FAMILIES else None
-                spec = ops.OperatorSpec(family, n, param)
-                L = build_point_functional(spec, float(x), cfg.tail_eps)
+                L = ops.point_functional(family, n, float(x), cfg.tail_eps)
                 fv = np.stack([f.values(L.nodes) for f in funcs])
                 scale_f = 1.0 + np.max(np.abs(fv), axis=1)
                 for i, f in enumerate(funcs):

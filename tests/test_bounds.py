@@ -7,7 +7,7 @@ from grusslab import operators as ops
 from grusslab import special as sp
 from grusslab.funcspace import (NodeSet, oscillation, range_on_grid,
                                 standard_corpus, uniform_grid)
-from grusslab.verify import FAMILY_DOMAINS, build_point_functional, one_shot_bounds
+from grusslab.verify import FAMILY_DOMAINS, one_shot_bounds
 
 
 class TestGrussQuarter:
@@ -288,7 +288,7 @@ def test_one_shot_agrees_with_scalar_references(family):
         for x in xs:
             param = x if family in ("two_point", "measure_example") else None
             spec = ops.OperatorSpec(family, n, param)
-            L = None if family == "measure_example" else build_point_functional(spec, x)
+            L = None if family == "measure_example" else ops.point_functional(family, n, x)
             for f in corpus.values():
                 for g in corpus.values():
                     got = one_shot_bounds(spec, x, f, g).rhs
@@ -335,8 +335,7 @@ def _reference_cells(block):
             w = np.array([1.0]) if u == 0.0 else np.array([1.0 - u, u])
             tail = None
         else:
-            L = build_point_functional(ops.OperatorSpec(fam, n, x if fam == "two_point"
-                                                        else None), x, block.tail_eps)
+            L = ops.point_functional(fam, n, x, block.tail_eps)
             nodes, w = L.nodes, L.weights
             tail = L.tail_mass_bound if fam in bnd.TRUNCATED_FAMILIES else None
             if tail is not None:

@@ -122,6 +122,10 @@ class TestBoundsCommand:
         ["--op", "bernstein:4", "--x", "1.5"],
         ["--op", "szasz:4", "--x", "-1"],
         ["--op", "lagrange_cheb:4", "--x", "2"],
+        ["--op", "sdelta:4", "--x", "1.01"],
+        ["--op", "king:4", "--x", "-0.5"],
+        ["--op", "bbh:4", "--x", "-1"],
+        ["--op", "baskakov:4", "--x", "-1"],
         ["--op", "measure_example:1:1.5"],
         ["--op", "bernstein:8:0.3", "--x", "0.7"],
         ["--op", "szasz:4:2"],
@@ -305,6 +309,23 @@ class TestGatesAgree:
         assert report.suites["conjectures"]["pass"] is holds
         assert report.passed is holds
         json.loads(report.to_json(), parse_constant=_no_constants)
+
+    def test_failed_conjecture_names_its_row(self, tmp_path, monkeypatch, capsys):
+        """A failing conjectures suite names its first failing row on stderr,
+        and a sweep that passed prints no worst margin."""
+        from grusslab import verify
+        scan = verify.conjecture_scan
+
+        def nan_gap(n_max, grid=verify.CONJECTURE_GRID):
+            rows = scan(n_max, grid)
+            rows[1]["min_gap_to_half"] = math.nan
+            return rows
+        monkeypatch.setattr(verify, "conjecture_scan", nan_gap)
+        code, _, err = run_cli(SMALL_VERIFY + ["--out", str(tmp_path / "r.json")], capsys)
+        assert code == 1
+        row = json.loads(err.split("suite failed: conjectures worst ", 1)[1].splitlines()[0])
+        assert row["n"] == 2 and row["min_gap_to_half"] == "nan"
+        assert "worst margin:" not in err
 
     @pytest.mark.parametrize("gap,holds", [(2e-10, False), (0.5e-10, True)])
     def test_equality(self, gap, holds, monkeypatch, capsys):

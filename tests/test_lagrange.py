@@ -102,10 +102,6 @@ class TestLebesgue:
         assert lag.lebesgue_constant(2) == pytest.approx(math.sqrt(2), abs=1e-6)
         assert lag.lebesgue_constant(3) == pytest.approx(5.0 / 3.0, abs=1e-6)
 
-    def test_grid_size_validation(self):
-        with pytest.raises(ValueError):
-            lag.lebesgue_constant(4, grid_size=64)
-
     def test_rivlin_window_small(self):
         for n in (2, 3, 8, 32):
             gap = lag.rivlin_gap(n)

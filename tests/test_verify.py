@@ -3,8 +3,8 @@ import json
 import pytest
 
 from grusslab import operators as ops
-from grusslab.verify import (SuiteConfig, build_point_functional,
-                             conjecture_scan, run_suite, sharpness_suite)
+from grusslab.verify import (SuiteConfig, conjecture_scan, run_suite,
+                             sharpness_suite)
 
 FAST = dict(degrees=(1, 2, 4), x_grid=17, grid_n=201, conjecture_nmax=6, quad_n=256)
 
@@ -176,12 +176,12 @@ class TestBuildFunctional:
     ])
     def test_families_build(self, spec_text, x):
         spec = ops.parse_operator_spec(spec_text)
-        L = build_point_functional(spec, x)
+        L = ops.point_functional(spec.family, spec.n, x if spec.param is None else spec.param)
         assert abs(L.weights.sum() - 1.0) <= L.tail_mass_bound + 1e-10
 
     def test_measure_has_no_point_form(self):
         with pytest.raises(ValueError):
-            build_point_functional(ops.OperatorSpec("measure_example", 1, 0.5), 0.1)
+            ops.point_functional("measure_example", 1, 0.5)
 
 
 class TestSweepBlockErrors:
