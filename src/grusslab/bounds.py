@@ -29,9 +29,8 @@ import numpy as np
 from . import lagrange as lag
 from . import operators as ops
 from . import special
-from .funcspace import (DEFAULT_GRID, DEFAULT_XMAX, RealFunction,
-                        cached_envelope, oscillation, range_on_grid,
-                        uniform_grid)
+from .funcspace import (DEFAULT_GRID, RealFunction, cached_envelope, oscillation,
+                        range_on_grid, uniform_grid)
 # chebyshev_T is bound here as well so that tracing can wrap it per module
 from .operators import PointFunctional, chebyshev_T  # noqa: F401
 
@@ -224,17 +223,17 @@ class Batch:
 class Block:
     """One (family, degree) over evaluation points ``xs`` and corpus rows
     ``funcs``: the table rows that apply, what they read per block, and the
-    block's batches."""
+    block's batches.  Envelopes and working-grid ranges are taken over
+    ``grid_n`` points of the rows' working interval."""
 
     def __init__(self, family: str, n: int, xs, funcs, *,
-                 grid_n: int = DEFAULT_GRID, x_max: float = DEFAULT_XMAX,
-                 quad_n: int = ops.QUAD_N, tail_eps: float = ops.TAIL_EPS):
+                 grid_n: int = DEFAULT_GRID, quad_n: int = ops.QUAD_N,
+                 tail_eps: float = ops.TAIL_EPS):
         self.family, self.n = family, n
         self.xs = np.atleast_1d(np.asarray(xs, dtype=float))
         self.funcs = tuple(funcs)
         self.names = tuple(f.name for f in self.funcs)
-        self.grid_n, self.x_max = grid_n, x_max
-        self.quad_n, self.tail_eps = quad_n, tail_eps
+        self.grid_n, self.quad_n, self.tail_eps = grid_n, quad_n, tail_eps
         self.rows = tuple(b for b in BOUNDS if family in b.families)
         if not self.rows:
             raise ValueError(f"unknown family {family!r}")
@@ -242,13 +241,14 @@ class Block:
         lo, hi = self.funcs[0].domain
         if np.any(self.xs < lo) or np.any(self.xs > hi):
             raise ValueError(f"{family} requires x in [{lo:g}, {hi:g}]")
-        self.envelope_step = (hi - lo) / (grid_n - 1)  # finite domains only
+        lo, hi = self.funcs[0].interval
+        self.envelope_step = (hi - lo) / (grid_n - 1)
         #: (first x, last x) of the batch being formed or evaluated
         self.x_span: tuple[float, float] | None = None
 
     def envelopes(self, t) -> np.ndarray:
         """w~(f; t) per row, for a step t or one step per x."""
-        return np.stack([cached_envelope(f, self.grid_n, self.x_max).hull_value(t)
+        return np.stack([cached_envelope(f, self.grid_n).hull_value(t)
                          for f in self.funcs])
 
     @functools.cached_property
@@ -267,11 +267,8 @@ class Block:
 
     @functools.cached_property
     def grid_osc(self) -> np.ndarray:
-        """Range of each row over the working grid (infinite domains cut at x_max)."""
-        lo, hi = self.funcs[0].domain
-        if math.isinf(hi):
-            hi = self.x_max
-        gv = _rows_at(self.funcs, uniform_grid(lo, hi, self.grid_n).nodes)
+        """Range of each row over the working grid."""
+        gv = _rows_at(self.funcs, uniform_grid(*self.funcs[0].interval, self.grid_n).nodes)
         return gv.max(axis=1) - gv.min(axis=1)
 
     def _batch_len(self, nodes: int) -> int:

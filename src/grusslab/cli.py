@@ -79,14 +79,6 @@ def _cmd_verify(args) -> int:
                         if isinstance(r["margin"], float) else -math.inf)
             print(f"worst failing margin: {json.dumps(worst, sort_keys=True)}",
                   file=sys.stderr)
-        elif not sweep["pass"]:
-            # exclude recorded-only bounds so the witness names a gated check
-            gated = {k: v for k, v in sweep["worst_margins"].items()
-                     if k not in sweep.get("report_only", ())}
-            if gated:
-                name, rec = min(gated.items(), key=lambda kv: kv[1]["margin"])
-                print(f"worst margin: {name} {json.dumps(rec, sort_keys=True)}",
-                      file=sys.stderr)
         for err in sweep["block_errors"]:
             print(f"block error: {json.dumps(err, sort_keys=True)}", file=sys.stderr)
         for suite, body in report.suites.items():

@@ -24,6 +24,7 @@ __all__ = [
     "NodeSet",
     "ModulusEnvelope",
     "uniform_grid",
+    "check_inside",
     "oscillation",
     "range_on_grid",
     "modulus",
@@ -43,11 +44,18 @@ class RealFunction:
     name: str
     domain: tuple[float, float]
     fn: Callable
+    x_max: float = DEFAULT_XMAX
 
     def __post_init__(self):
         lo, hi = self.domain
         if not lo < hi:
             raise ValueError(f"empty domain for {self.name!r}: {self.domain}")
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        """The domain with an infinite right end cut at ``x_max``: where
+        envelopes, working-grid ranges and sweep grids sample the function."""
+        return _working_interval(self.domain, self.x_max)
 
     def __call__(self, x):
         return self.fn(x)
@@ -90,26 +98,30 @@ def uniform_grid(lo: float, hi: float, n: int = DEFAULT_GRID) -> NodeSet:
     return NodeSet(np.linspace(lo, hi, n))
 
 
-def _check_inside(f: RealFunction, nodes: np.ndarray) -> None:
-    lo, hi = f.domain
-    if nodes[0] < lo - 1e-12 or nodes[-1] > hi + 1e-12:
-        raise ValueError(
-            f"nodes [{nodes[0]}, {nodes[-1]}] leave the domain of {f.name!r}"
-        )
+def _working_interval(domain: tuple[float, float], x_max: float) -> tuple[float, float]:
+    lo, hi = domain
+    return lo, (x_max if math.isinf(hi) else hi)
+
+
+def check_inside(f: RealFunction, lo: float, hi: float) -> None:
+    """Reject nodes spanning [lo, hi] that leave f's domain by more than 1e-12."""
+    dom_lo, dom_hi = f.domain
+    if lo < dom_lo - 1e-12 or hi > dom_hi + 1e-12:
+        raise ValueError(f"nodes [{lo}, {hi}] leave the domain of {f.name!r}")
 
 
 def oscillation(f: RealFunction, nodes: NodeSet) -> float:
     """Largest |f(x_k) - f(x_l)| over node pairs, i.e. max - min of node values."""
     if len(nodes) == 0:
         raise ValueError("oscillation over an empty node set")
-    _check_inside(f, nodes.nodes)
+    check_inside(f, nodes.nodes[0], nodes.nodes[-1])
     vals = f.values(nodes.nodes)
     return float(np.max(vals) - np.min(vals))
 
 
 def range_on_grid(f: RealFunction, grid: NodeSet) -> tuple[float, float]:
     """(min, max) of f over the grid points."""
-    _check_inside(f, grid.nodes)
+    check_inside(f, grid.nodes[0], grid.nodes[-1])
     vals = f.values(grid.nodes)
     return float(np.min(vals)), float(np.max(vals))
 
@@ -121,7 +133,7 @@ def modulus(f: RealFunction, t: float, grid: NodeSet) -> float:
     if t == 0:
         return 0.0
     xs = grid.nodes
-    _check_inside(f, xs)
+    check_inside(f, xs[0], xs[-1])
     ys = f.values(xs)
     best = 0.0
     # row-blocked pair scan keeps the temporary below a few MB for big grids
@@ -219,13 +231,9 @@ def envelope_of(f: RealFunction, grid: NodeSet) -> ModulusEnvelope:
 
 
 @functools.lru_cache(maxsize=256)
-def cached_envelope(f: RealFunction, grid_n: int = DEFAULT_GRID,
-                    x_max: float = DEFAULT_XMAX) -> ModulusEnvelope:
-    """Envelope on the member's working interval (infinite domains cut at x_max)."""
-    lo, hi = f.domain
-    if math.isinf(hi):
-        hi = x_max
-    return envelope_of(f, uniform_grid(lo, hi, grid_n))
+def cached_envelope(f: RealFunction, grid_n: int) -> ModulusEnvelope:
+    """Envelope on ``grid_n`` points of the member's working interval."""
+    return envelope_of(f, uniform_grid(*f.interval, grid_n))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +251,10 @@ def standard_corpus(domain: tuple[float, float] = (0.0, 1.0),
                     x_max: float = DEFAULT_XMAX) -> Mapping[str, RealFunction]:
     """The fixed ten-member corpus adapted to a domain, read-only.
 
-    The same (domain, seed, x_max) returns the same member objects, so
-    :func:`cached_envelope`, which is keyed on them, hits across calls.
+    Members carry ``x_max`` for their :attr:`~RealFunction.interval`.  The
+    same domain and seed, and on [0, inf) the same x_max, return the same
+    member objects, so :func:`cached_envelope`, which is keyed on them, hits
+    across calls.
 
     Members (published formulas, midpoint m = (lo+hi)/2 on finite domains):
       e0 = 1, e1 = x, e2 = x^2, hat = x(1-x), absmid = |x - m|,
@@ -256,36 +266,37 @@ def standard_corpus(domain: tuple[float, float] = (0.0, 1.0),
     On [0, inf) absmid is anchored at 1/2 and randlip is constant beyond
     x_max.
     """
-    return _corpus((float(domain[0]), float(domain[1])), int(seed), float(x_max))
+    lo, hi = float(domain[0]), float(domain[1])
+    # x_max cuts only an infinite domain, so finite ones share one corpus
+    return _corpus((lo, hi), int(seed), float(x_max) if math.isinf(hi) else DEFAULT_XMAX)
 
 
 @functools.lru_cache(maxsize=64)
 def _corpus(domain: tuple[float, float], seed: int,
             x_max: float) -> Mapping[str, RealFunction]:
-    lo, hi = domain
-    infinite = math.isinf(hi)
-    eff_hi = x_max if infinite else hi
-    mid = 0.5 if infinite else 0.5 * (lo + hi)
+    lo, hi = _working_interval(domain, x_max)
+    mid = 0.5 if math.isinf(domain[1]) else 0.5 * (lo + hi)
 
     rng = np.random.default_rng(seed)
     n_seg = 32
-    bps = np.linspace(lo, eff_hi, n_seg + 1)
+    bps = np.linspace(lo, hi, n_seg + 1)
     slopes = rng.uniform(-1.0, 1.0, size=n_seg)
     vals = np.concatenate([[0.0], np.cumsum(slopes * np.diff(bps))])
 
     def randlip_eval(x, _bps=bps, _vals=vals):
         return np.interp(x, _bps, _vals)
 
-    members = {
-        "e0": RealFunction("e0", domain, lambda x: np.ones_like(np.asarray(x, dtype=float))),
-        "e1": RealFunction("e1", domain, lambda x: np.asarray(x, dtype=float)),
-        "e2": RealFunction("e2", domain, lambda x: np.square(np.asarray(x, dtype=float))),
-        "hat": RealFunction("hat", domain, lambda x: np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float))),
-        "absmid": RealFunction("absmid", domain, lambda x, _m=mid: np.abs(np.asarray(x, dtype=float) - _m)),
-        "sinpi": RealFunction("sinpi", domain, lambda x: np.sin(np.pi * np.asarray(x, dtype=float))),
-        "expneg": RealFunction("expneg", domain, lambda x: np.exp(-np.asarray(x, dtype=float))),
-        "halfstep": RealFunction("halfstep", domain, lambda x: np.floor(2.0 * np.asarray(x, dtype=float)) / 2.0),
-        "dirichlet": RealFunction("dirichlet", domain, lambda x: np.ones_like(np.asarray(x, dtype=float))),
-        "randlip": RealFunction("randlip", domain, randlip_eval),
+    fns = {
+        "e0": lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        "e1": lambda x: np.asarray(x, dtype=float),
+        "e2": lambda x: np.square(np.asarray(x, dtype=float)),
+        "hat": lambda x: np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float)),
+        "absmid": lambda x, _m=mid: np.abs(np.asarray(x, dtype=float) - _m),
+        "sinpi": lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
+        "expneg": lambda x: np.exp(-np.asarray(x, dtype=float)),
+        "halfstep": lambda x: np.floor(2.0 * np.asarray(x, dtype=float)) / 2.0,
+        "dirichlet": lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        "randlip": randlip_eval,
     }
+    members = {name: RealFunction(name, domain, fn, x_max) for name, fn in fns.items()}
     return MappingProxyType(members)

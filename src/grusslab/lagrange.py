@@ -71,19 +71,27 @@ def chebyshev_grid(n: int) -> ChebyshevGrid:
     return ChebyshevGrid(n=n, nodes=nodes, bary=bary)
 
 
-def basis_weights(n: int, x: float) -> np.ndarray:
-    """Fundamental-function values l_k(x); rows sum to 1 by construction."""
+def _bary_terms(n: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """bary_k / (x - x_k) and the mask of node hits, for a point x (shape
+    (n,)) or one row per point of an array x.  A hit's term is bary_k, a
+    placeholder: every caller replaces the rows that hit a node."""
     grid = chebyshev_grid(n)
-    if n == 1:
-        return np.array([1.0])
-    diff = x - grid.nodes
+    diff = np.subtract.outer(x, grid.nodes)
     hit = np.abs(diff) < _NODE_HIT
-    if np.any(hit):
-        out = np.zeros(n)
-        out[int(np.argmax(hit))] = 1.0
-        return out
-    r = grid.bary / diff
-    return r / np.sum(r)
+    diff[hit] = 1.0
+    return grid.bary / diff, hit
+
+
+def basis_weights(n: int, x) -> np.ndarray:
+    """Fundamental-function values l_k(x), one row per point of an array x;
+    rows sum to 1 by construction.  At a node they are that node's unit row."""
+    r, hit = _bary_terms(n, x)
+    w = r / np.sum(r, axis=-1, keepdims=True)
+    if hit.any():
+        at = np.nonzero(hit)
+        w[at[:-1]] = 0.0
+        w[at] = 1.0
+    return w
 
 
 def lagrange_basis(n: int, x: float) -> PointFunctional:
@@ -96,26 +104,15 @@ def lebesgue_function(n: int, x: float) -> float:
     return float(np.sum(np.abs(basis_weights(n, x))))
 
 
-def _lebesgue_on(n: int, xs: np.ndarray) -> np.ndarray:
-    grid = chebyshev_grid(n)
-    if n == 1:
-        return np.ones_like(xs)
-    diff = xs[:, None] - grid.nodes[None, :]
-    hit = np.abs(diff) < _NODE_HIT
-    diff[hit] = 1.0  # placeholder; hit rows overwritten below
-    r = grid.bary[None, :] / diff
-    lam = np.abs(r).sum(axis=1) / np.abs(r.sum(axis=1))
-    lam[hit.any(axis=1)] = 1.0
-    return lam
-
-
 @functools.lru_cache(maxsize=512)
 def lebesgue_constant(n: int) -> float:
     """max of Lambda_n over [-1, 1]: coarse grid plus golden-section refinement."""
     if n == 1:
         return 1.0
     xs = np.linspace(-1.0, 1.0, LEBESGUE_GRID)
-    lam = _lebesgue_on(n, xs)
+    r, hit = _bary_terms(n, xs)
+    lam = np.abs(r).sum(axis=1) / np.abs(r.sum(axis=1))
+    lam[hit.any(axis=1)] = 1.0
     i = int(np.argmax(lam))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, LEBESGUE_GRID - 1)]
@@ -197,10 +194,7 @@ def hermann_ratio(n: int) -> float:
     """
     xs = np.linspace(-1.0, 1.0, HERMANN_GRID)
     ts = np.arccos(np.clip(xs, -1.0, 1.0))
-    best = math.inf
-    for x, t in zip(xs, ts):
-        w = basis_weights(n, x)
-        ssq = float(np.dot(w, w))
-        denom = 1.0 + math.cos(n * t) ** 2 * (math.pi ** 2 / 6.0)
-        best = min(best, ssq / denom)
-    return best
+    w = basis_weights(n, xs)
+    ssq = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
+    cos = np.array([math.cos(v) for v in n * ts])
+    return float(np.min(ssq / (1.0 + cos ** 2 * (math.pi ** 2 / 6.0))))

@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
-from .funcspace import NodeSet, RealFunction, oscillation, uniform_grid
+from .funcspace import (NodeSet, RealFunction, check_inside, oscillation,
+                        uniform_grid)
 
 __all__ = [
     "PointFunctional",
@@ -476,19 +477,15 @@ def measure_example_T(a: float, f: RealFunction, g: RealFunction,
 
 def apply(L: PointFunctional, f: RealFunction) -> float:
     """L(f) = sum of weight * f(node)."""
-    lo, hi = f.domain
-    if np.min(L.nodes) < lo - 1e-12 or np.max(L.nodes) > hi + 1e-12:
-        raise ValueError(f"functional nodes leave the domain of {f.name!r}")
+    check_inside(f, L.nodes.min(), L.nodes.max())
     return float(np.dot(L.weights, f.values(L.nodes)))
 
 
 def chebyshev_T(L: PointFunctional, f: RealFunction, g: RealFunction) -> float:
     """T_L(f, g) = L(fg) - L(f) L(g)."""
-    lo_f, hi_f = f.domain
-    lo_g, hi_g = g.domain
-    lo, hi = max(lo_f, lo_g), min(hi_f, hi_g)
-    if np.min(L.nodes) < lo - 1e-12 or np.max(L.nodes) > hi + 1e-12:
-        raise ValueError("functional nodes leave the common domain")
+    lo, hi = L.nodes.min(), L.nodes.max()
+    check_inside(f, lo, hi)
+    check_inside(g, lo, hi)
     fv = f.values(L.nodes)
     gv = g.values(L.nodes)
     w = L.weights

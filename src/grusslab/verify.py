@@ -76,6 +76,9 @@ FAMILY_BOUNDS = {
 #: points of the conjecture scan's x grid
 CONJECTURE_GRID = 513
 
+#: failing checks a report lists in full; the rest are only counted
+FAILURE_SAMPLES = 25
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -96,8 +99,16 @@ class SuiteConfig:
     def __post_init__(self):
         if not (self.families and self.degrees and self.functions):
             raise ValueError("family, degree and function lists must be nonempty")
-        if self.x_grid < 3:
-            raise ValueError("x grid needs at least 3 points")
+        for name in ("tail_eps", "x_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name, least in (("x_grid", 3), ("grid_n", 2), ("quad_n", 1),
+                            ("conjecture_nmax", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
+        if min(self.degrees) < 1:
+            raise ValueError("every degree must be at least 1")
         unknown = set(self.families) - set(FAMILY_DOMAINS)
         if unknown:
             raise ValueError(f"unknown families: {sorted(unknown)}")
@@ -190,7 +201,7 @@ class _Accum:
             bad = ~((margins + allow >= 0.0) & np.isfinite(margins))
             if bad.any():
                 for i, j in zip(*np.nonzero(bad)):
-                    if len(self.failures) >= 25:
+                    if len(self.failures) >= FAILURE_SAMPLES:
                         break
                     self.failures.append({
                         "bound": bound, "operator": self.family, "n": self.n,
@@ -259,11 +270,9 @@ def _degrees(family: str, cfg: SuiteConfig) -> tuple[int, ...]:
     return (1,) if family in ops.ONE_POINT_FAMILIES else cfg.degrees
 
 
-def _x_grid(family: str, cfg: SuiteConfig) -> np.ndarray:
-    lo, hi = FAMILY_DOMAINS[family]
-    if math.isinf(hi):
-        hi = cfg.x_max
-    return np.linspace(lo, hi, cfg.x_grid)
+def _x_grid(f: RealFunction, cfg: SuiteConfig) -> np.ndarray:
+    """The sweep's points: ``cfg.x_grid`` of them over f's working interval."""
+    return np.linspace(*f.interval, cfg.x_grid)
 
 
 def _sweep_block(family: str, n: int, cfg: SuiteConfig, corpus,
@@ -280,10 +289,10 @@ def _sweep_block(family: str, n: int, cfg: SuiteConfig, corpus,
     # sign statistics are stated for positive functionals only
     e1_row = (names.index("e1") if "e1" in names and not ops.FAMILY[family].signed
               else None)
+    funcs = [corpus[nm] for nm in names]
     try:
-        block = bnd.Block(family, n, _x_grid(family, cfg),
-                          [corpus[nm] for nm in names], grid_n=cfg.grid_n,
-                          x_max=cfg.x_max, quad_n=cfg.quad_n, tail_eps=cfg.tail_eps)
+        block = bnd.Block(family, n, _x_grid(funcs[0], cfg), funcs, grid_n=cfg.grid_n,
+                          quad_n=cfg.quad_n, tail_eps=cfg.tail_eps)
         for batch in block.batches():
             rows = [(row.name, row.gated, lower, margins, allow)
                     for row, lower, margins, allow in block.evaluate(batch)]
@@ -412,17 +421,15 @@ def _identity_suite(cfg: SuiteConfig, corpora) -> dict:
     names = cfg.functions
     worst = {"tol_ratio": 0.0}
     worst_ratio = 0.0
-    nonfinite = False
     checks = 0
     ok = True
     eps = np.finfo(float).eps
     for family in cfg.families:
         if family not in EXACT_FAMILIES:
             continue
-        domain = FAMILY_DOMAINS[family]
-        corpus = corpora[domain]
+        corpus = corpora[FAMILY_DOMAINS[family]]
         funcs = [corpus[nm] for nm in names]
-        xs = _x_grid(family, cfg)
+        xs = _x_grid(funcs[0], cfg)
         sample = xs[:: max(1, (len(xs) - 1) // 4)]
         for n in _degrees(family, cfg):
             for x in sample:
@@ -440,17 +447,16 @@ def _identity_suite(cfg: SuiteConfig, corpora) -> dict:
                         checks += 1
                         # dev is non-finite whenever t1 or t2 is; the first
                         # such check fails the suite and stays its witness
-                        finite = math.isfinite(dev)
-                        if not nonfinite and (not finite or dev / tol > worst_ratio):
-                            worst_ratio = dev / tol
-                            nonfinite = not finite
+                        ratio = dev / tol
+                        if _beyond(ratio, worst_ratio, False):
+                            worst_ratio = ratio
                             worst = {"tol_ratio": _json_number(worst_ratio),
                                      "deviation": _json_number(dev),
                                      "operator": family, "n": n,
                                      "x": float(x), "f": f.name, "g": g.name,
                                      "chebyshev_T": _json_number(t1),
                                      "pair_sum": _json_number(t2)}
-                        if not finite or dev > tol:
+                        if not math.isfinite(dev) or dev > tol:
                             ok = False
     return {"pass": ok, "checks": checks, "worst": worst}
 
@@ -491,7 +497,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerificationReport:
         cells += acc.cells
         checks += acc.checks
         failures_total += acc.failures_total
-        failures.extend(acc.failures[: max(0, 25 - len(failures))])
+        failures.extend(acc.failures[: max(0, FAILURE_SAMPLES - len(failures))])
         fam_worst = per_family.setdefault(family, {})
         for bound_name, wrec in sorted(acc.worst.items()):
             bound_seen.add(bound_name)

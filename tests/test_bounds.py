@@ -352,7 +352,7 @@ def _reference_rows(block, x, v, w, tail, t, osc):
     lhs, oo = np.abs(t), np.outer(osc, osc)
 
     def env(step):
-        return np.array([bnd.cached_envelope(f, block.grid_n, block.x_max).hull_value(step)
+        return np.array([bnd.cached_envelope(f, block.grid_n).hull_value(step)
                          for f in block.funcs])
 
     def modulus(e):
@@ -426,7 +426,7 @@ def test_batches_match_per_cell_reference(family):
     from grusslab.verify import SuiteConfig, _x_grid
     corpus = standard_corpus(FAMILY_DOMAINS[family])
     funcs = list(corpus.values())
-    xs = _x_grid(family, SuiteConfig(x_grid=REFERENCE_XGRID))
+    xs = _x_grid(funcs[0], SuiteConfig(x_grid=REFERENCE_XGRID))
     for n in REFERENCE_DEGREES.get(family, (2, 16)):
         block = bnd.Block(family, n, xs, funcs)
         got = _batched_rows(block)

@@ -281,6 +281,24 @@ class TestVerifyFlags:
         assert unset == []
         assert (cfg.families, cfg.degrees) == (("bernstein", "szasz"), (3, 5))
 
+    @pytest.mark.parametrize("flags", [
+        ["--tail-eps", "0"], ["--tail-eps", "-1"], ["--tail-eps", "nan"],
+        ["--tail-eps", "inf"], ["--xmax", "nan"], ["--xmax", "0"], ["--xmax", "inf"],
+        ["--grid", "1"], ["--quad-n", "0"], ["--degrees", "2,0"],
+        ["--conjecture-nmax", "0"], ["--xgrid", "2"]])
+    def test_bad_value_fails_before_any_work(self, flags, tmp_path, capsys,
+                                             monkeypatch):
+        import grusslab.cli as cli_mod
+
+        def reached(cfg):
+            raise _Captured(cfg)
+        monkeypatch.setattr(cli_mod, "run_suite", reached)
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(["verify", *flags, "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not out.exists()
+
 
 GATE_SUITE = dict(families=("two_point",), degrees=(1,), x_grid=9, grid_n=101,
                   conjecture_nmax=3)
@@ -502,6 +520,28 @@ class TestBlockErrors:
         assert payload["suites"]["bound_sweep"]["block_errors"] == [err]
         assert f"block error: {json.dumps(err, sort_keys=True)}" in captured.err
         assert "suite failed: bound_sweep" in captured.err
+
+    def test_block_error_alone_prints_no_passing_margin(self, tmp_path, capsys,
+                                                        monkeypatch):
+        import dataclasses
+
+        from grusslab import bounds as bnd
+
+        def quarter_failing_at_3(row):
+            def rhs(c):
+                if c.block.n == 3:
+                    raise ZeroDivisionError("row failed")
+                return row.rhs(c)
+            return rhs
+        rows = tuple(dataclasses.replace(b, rhs=quarter_failing_at_3(b))
+                     if b.name == "gruss_quarter" else b for b in bnd.BOUNDS)
+        monkeypatch.setattr(bnd, "BOUNDS", rows)
+        code, _, err = run_cli(["verify", "--families", "bernstein", "--degrees", "2,3",
+                                "--xgrid", "9", "--grid", "101", "--conjecture-nmax", "2",
+                                "--out", str(tmp_path / "r.json")], capsys)
+        assert code == 1
+        assert 'block error: {"error_type": "ZeroDivisionError"' in err
+        assert "worst margin:" not in err
 
 
 def test_optimised_python_gives_the_same_report(tmp_path):

@@ -198,3 +198,46 @@ class TestIdempotence:
 def test_hermann_ratio_positive():
     for n in (2, 8, 32):
         assert lag.hermann_ratio(n) > 0.0
+
+
+def _per_x_basis(n, x):
+    """The per-x barycentric basis the array form replaced, kept as reference."""
+    grid = lag.chebyshev_grid(n)
+    if n == 1:
+        return np.array([1.0])
+    diff = x - grid.nodes
+    hit = np.abs(diff) < 1e-14
+    if np.any(hit):
+        out = np.zeros(n)
+        out[int(np.argmax(hit))] = 1.0
+        return out
+    r = grid.bary / diff
+    return r / np.sum(r)
+
+
+def _per_x_hermann(n):
+    """The per-x loop of hermann_ratio, kept as reference."""
+    xs = np.linspace(-1.0, 1.0, lag.HERMANN_GRID)
+    ts = np.arccos(np.clip(xs, -1.0, 1.0))
+    best = math.inf
+    for x, t in zip(xs, ts):
+        w = _per_x_basis(n, x)
+        ssq = float(np.dot(w, w))
+        denom = 1.0 + math.cos(n * t) ** 2 * (math.pi ** 2 / 6.0)
+        best = min(best, ssq / denom)
+    return best
+
+
+def test_basis_bits_match_per_x_reference():
+    """Array rows, the point form and hermann_ratio are bit for bit the per-x
+    barycentric basis, on the Lebesgue grid and at every node hit."""
+    for n in range(1, 65):
+        nodes = lag.chebyshev_grid(n).nodes
+        xs = np.concatenate([np.linspace(-1.0, 1.0, lag.LEBESGUE_GRID), nodes])
+        want = np.stack([_per_x_basis(n, x) for x in xs])
+        assert lag.basis_weights(n, xs).tobytes() == want.tobytes(), n
+        points = np.concatenate([xs[::64], nodes])
+        got = np.stack([lag.basis_weights(n, float(x)) for x in points])
+        want = np.stack([_per_x_basis(n, float(x)) for x in points])
+        assert got.tobytes() == want.tobytes(), n
+        assert lag.hermann_ratio(n) == _per_x_hermann(n), n

@@ -241,6 +241,14 @@ class TestApplyAndT:
         with pytest.raises(ValueError):
             ops.apply(L, corpus01["e1"])
 
+    def test_domain_violation_names_the_member(self, corpus01):
+        L = ops.bbh_at(2, 1.0)  # nodes reach 2.0
+        ray = standard_corpus((0.0, math.inf))
+        with pytest.raises(ValueError, match=r"\[0.0, 2.0\] leave the domain of 'sinpi'"):
+            ops.chebyshev_T(L, ray["e1"], corpus01["sinpi"])
+        with pytest.raises(ValueError, match="'hat'"):
+            ops.chebyshev_T(L, corpus01["hat"], ray["e1"])
+
     def test_second_moment_bernstein(self, corpus01):
         e1 = corpus01["e1"]
         for n in (1, 4, 16):

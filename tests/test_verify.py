@@ -106,6 +106,27 @@ class TestAcrossCalls:
         assert funcspace.cached_envelope.cache_info().misses == misses
         assert a == b
 
+    @pytest.mark.parametrize("x_max", [SuiteConfig.x_max, 20.0])
+    def test_each_envelope_built_once(self, x_max, monkeypatch):
+        # the sweep and the scalar references behind the sharpness witnesses
+        # read e1 on [0, 1] at the default grid through one cache entry,
+        # whatever x_max cuts [0, inf) at
+        import collections
+
+        from grusslab import funcspace
+        funcspace.cached_envelope.cache_clear()
+        builds = collections.Counter()
+        envelope_of = funcspace.envelope_of
+
+        def counted(f, grid):
+            builds[(f, len(grid))] += 1
+            return envelope_of(f, grid)
+        monkeypatch.setattr(funcspace, "envelope_of", counted)
+        run_suite(SuiteConfig(families=("bernstein",), degrees=(1, 2), x_grid=9,
+                              conjecture_nmax=2, x_max=x_max))
+        assert len(builds) == 10
+        assert set(builds.values()) == {1}
+
     def test_counts_per_check(self, monkeypatch):
         # one pairwise_identity call per identity check and one _Accum.update
         # call per (bound, x) over the whole F x F pair matrix
