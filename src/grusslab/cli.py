@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -205,7 +206,9 @@ def _cmd_sharpness(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="grusslab",
         description="Oscillation-based bound verification for positive and "

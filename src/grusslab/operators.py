@@ -11,13 +11,13 @@ underflow (e.g. exp(-nx) for nx beyond ~745).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .funcspace import (NodeSet, RealFunction, check_inside, oscillation,
                         uniform_grid)
@@ -45,6 +45,7 @@ __all__ = [
     "chebyshev_T",
     "pairwise_identity",
     "parse_operator_spec",
+    "log_gamma",
 ]
 
 _SUM_TOL = 1e-10
@@ -140,6 +141,96 @@ def parse_operator_spec(text: str) -> OperatorSpec:
 
 
 # ---------------------------------------------------------------------------
+# log gamma at integers
+#
+# Cephes' lgam (the routine behind scipy.special.gammaln) at integer a >= 1,
+# written out: log (a - 1)! below 13, Stirling's series above, its correction
+# term a polynomial in 1/a^2 over a below 1000, three terms up to 1e8 and none
+# beyond.  The scalar path gives cephes' bits; the array path differs from
+# them only where numpy's vector log does, by at most 2 ulp.
+
+#: log (a - 1)! at index a = 1..12; index 0 is NaN, never a plausible value
+_LOG_FACTORIAL = np.array([math.nan] + [math.log(math.factorial(k))
+                                        for k in range(12)])
+_LS2PI = 0.91893853320467274178          # log sqrt(2 pi)
+_STIRLING_POLY = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+                  7.93650340457716943945e-4, -2.77777777730099687205e-3,
+                  8.33333333333331927722e-2)
+_STIRLING_SHORT = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+                   0.0833333333333333333333)
+#: an integer a falls in branch k = bisect_right(_EDGES, a), _EDGES[k - 1] <=
+#: a < _EDGES[k]: 1 the table, 2 the polynomial, 3 the three terms, 4 none
+#: (a > 1e8 is a >= 1e8 + 1); 0 (a < 1) and 5 (inf, NaN) lie outside
+_EDGES = (1.0, 13.0, 1000.0, 1e8 + 1.0, math.inf)
+_CHUNK = 1 << 14                         # elements per pass, kept in cache
+
+
+def log_gamma(a):
+    """log Gamma(a) for integer-valued a >= 1, a scalar or an array."""
+    if isinstance(a, np.ndarray) and a.ndim:
+        return _log_gamma_array(a)
+    x = float(a)
+    if not (x >= 1.0 and x.is_integer()):
+        raise ValueError(f"log_gamma needs an integer a >= 1, got {a!r}")
+    if x < 13.0:
+        return float(_LOG_FACTORIAL[int(x)])
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        c0, c1, c2 = _STIRLING_SHORT
+        return q + ((c0 * p + c1) * p + c2) / x
+    c0, c1, c2, c3, c4 = _STIRLING_POLY
+    return q + ((((c0 * p + c1) * p + c2) * p + c3) * p + c4) / x
+
+
+def _log_gamma_array(a: np.ndarray) -> np.ndarray:
+    """Over chunks of a that stay in cache; a chunk that spans branches
+    evaluates each branch over its own elements only."""
+    x = np.asarray(a, dtype=float)
+    out = np.empty(x.shape)
+    xf, of = x.reshape(-1), out.reshape(-1)
+    for i in range(0, xf.size, _CHUNK):
+        xc, oc = xf[i:i + _CHUNK], of[i:i + _CHUNK]
+        first = bisect.bisect_right(_EDGES, xc.min())
+        last = bisect.bisect_right(_EDGES, xc.max())
+        if first == 0 or last == 5 or not (np.floor(xc) == xc).all():
+            raise ValueError("log_gamma needs integers a >= 1")
+        if first == last:
+            _log_gamma_branch(xc, first, oc)
+            continue
+        for k in range(first, last + 1):
+            mask = (xc >= _EDGES[k - 1]) & (xc < _EDGES[k])
+            oc[mask] = _log_gamma_branch(xc[mask], k)
+    return out
+
+
+def _log_gamma_branch(x: np.ndarray, branch: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """One branch at every element of x, in cephes' order of operations."""
+    if branch == 1:
+        return np.take(_LOG_FACTORIAL, x.astype(np.intp), out=out)
+    q = np.log(x, out=out)
+    t = np.subtract(x, 0.5)
+    q *= t
+    q -= x
+    q += _LS2PI
+    if branch < 4:
+        coef = _STIRLING_POLY if branch == 2 else _STIRLING_SHORT
+        p = np.multiply(x, x, out=t)
+        np.divide(1.0, p, out=p)
+        r = coef[0] * p
+        for c in coef[1:-1]:
+            r += c
+            r *= p
+        r += coef[-1]
+        r /= x
+        q += r
+    return q
+
+
+# ---------------------------------------------------------------------------
 # weight builders
 
 
@@ -232,7 +323,7 @@ def _negbin_weights(n: int, x: float, tail_eps: float) -> tuple[np.ndarray, floa
     mean = n * x
     kmax = int(mean + 15.0 * math.sqrt(mean * (1.0 + x)) + 60.0)
     mode = min(int((n - 1) * x), kmax) if n > 1 else 0
-    log_wm = (gammaln(n + mode) - gammaln(mode + 1) - gammaln(n)
+    log_wm = (log_gamma(n + mode) - log_gamma(mode + 1) - log_gamma(n)
               + mode * math.log(p) - n * math.log1p(x))
     up_ratio = lambda k: p * (n + k) / (k + 1.0)
     w = _mode_seeded_weights(
@@ -367,7 +458,7 @@ def point_functional(family: str, n: int, x: float,
         raise ValueError(f"{family} has no point-functional form")
     _check_degree(n)
     lo, hi = fam.domain
-    if not lo <= x <= hi:
+    if not (lo <= x <= hi and math.isfinite(x)):
         raise ValueError(f"{family} requires x in [{lo:g}, {hi:g}]")
     if tail_eps <= 0.0:
         raise ValueError("tail_eps must be positive")

@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
-from .operators import _binomial_weights, _sdelta_cell, r_star
+from .operators import (_binomial_weights, _check_degree, _sdelta_cell,
+                        log_gamma, r_star)
 
 __all__ = [
     "phi_bernstein",
@@ -34,6 +34,7 @@ LEGENDRE_EXCLUSION = 1e-3
 
 def phi_bernstein(n: int, x: float) -> float:
     """Sum of squared Bernstein basis values at x; lies in [1/(n+1), 1]."""
+    _check_degree(n)
     w = _binomial_weights(n, _check_unit(x))
     return float(np.dot(w, w))
 
@@ -56,6 +57,7 @@ def phi_via_legendre(n: int, x: float, delta: float = LEGENDRE_EXCLUSION) -> flo
     Valid for x in [0, 1/2 - delta]; the substitution is singular at x = 1/2,
     so arguments inside the exclusion radius are rejected.
     """
+    _check_degree(n)
     if not 0.0 <= x <= 0.5 - delta:
         raise ValueError(
             f"phi_via_legendre needs x in [0, {0.5 - delta}]; the substitution "
@@ -76,8 +78,7 @@ def phi_via_legendre(n: int, x: float, delta: float = LEGENDRE_EXCLUSION) -> flo
 
 def central_binom_scaled(n: int) -> float:
     """4^-n * C(2n, n) as the product of (2i-1)/(2i); strictly decreasing."""
-    if int(n) != n or n < 1:
-        raise ValueError("central_binom_scaled needs n >= 1")
+    _check_degree(n)
     i = np.arange(1.0, n + 1)
     return float(np.prod((2.0 * i - 1.0) / (2.0 * i)))
 
@@ -110,6 +111,7 @@ def scaled_bessel_i0(z: float) -> float:
 
 def sigma_szasz(n: int, x: float) -> float:
     """exp(-2nx) * sum (nx)^(2k) / (k!)^2, summed from the peak term outward."""
+    _check_degree(n)
     if x < 0.0:
         raise ValueError("sigma_szasz needs x >= 0")
     z = 2.0 * n * x
@@ -153,9 +155,13 @@ def _theta_log_coef(n: int, size: int) -> np.ndarray:
     if coef is None or coef.size < size:
         ks = np.arange(max(size, 2 * (0 if coef is None else coef.size)) + 0.0)
         _THETA_LOG_COEF.clear()
-        coef = _THETA_LOG_COEF[n] = 2.0 * (gammaln(n + ks) - gammaln(ks + 1.0)
-                                           - gammaln(n))
+        # in place, in the order 2 (a - b - c) is evaluated, to spare memory
+        coef = log_gamma(n + ks)
+        coef -= log_gamma(ks + 1.0)
+        coef -= log_gamma(n)
+        coef *= 2.0
         coef.flags.writeable = False
+        _THETA_LOG_COEF[n] = coef
     return coef[:size]
 
 
@@ -168,6 +174,7 @@ def theta_baskakov(n: int, x: float) -> float:
     1e-12 budget.  The x-free log binomials of the last n are kept across
     calls.
     """
+    _check_degree(n)
     if x < 0.0:
         raise ValueError("theta_baskakov needs x >= 0")
     if x == 0.0:
@@ -187,18 +194,20 @@ def theta_baskakov(n: int, x: float) -> float:
 
 def psi_bbh(n: int, t: float) -> float:
     """sum C(n,k)^2 t^(2k) / (1+t)^(2n); equals phi_n at x = t/(1+t)."""
+    _check_degree(n)
     if t < 0.0:
         raise ValueError("psi_bbh needs t >= 0")
     if t == 0.0:
         return 1.0
     ks = np.arange(n + 1.0)
-    logc = gammaln(n + 1.0) - gammaln(ks + 1.0) - gammaln(n - ks + 1.0)
+    logc = log_gamma(n + 1.0) - log_gamma(ks + 1.0) - log_gamma(n - ks + 1.0)
     logs = 2.0 * logc + 2.0 * ks * math.log(t) - 2.0 * n * math.log1p(t)
     return float(np.sum(np.exp(logs)))
 
 
 def tau_hat(n: int, x: float) -> float:
     """Sum of squared hat-function values; 1 at knots, minimum 1/2 at midpoints."""
+    _check_degree(n)
     _check_unit(x)
     _, u = _sdelta_cell(n, x)
     return (1.0 - u) ** 2 + u ** 2
@@ -211,6 +220,7 @@ def king_sumsq(n: int, x: float) -> float:
 
 def second_moment(family: str, n: int, x: float) -> float:
     """Closed-form H((e1 - x)^2; x) for the families with a stated one."""
+    _check_degree(n)
     if family == "bernstein":
         _check_unit(x)
         return x * (1.0 - x) / n

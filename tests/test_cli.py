@@ -2,16 +2,31 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import grusslab
+from grusslab import cli
 from grusslab.cli import main
+from grusslab.operators import FAMILIES, ONE_POINT_FAMILIES
 
 
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _python_env() -> dict:
+    """The environment of a fresh interpreter that imports this grusslab."""
+    env = dict(os.environ, COLUMNS="80")
+    src = str(Path(grusslab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 class TestVerifyCommand:
@@ -131,12 +146,20 @@ class TestBoundsCommand:
         ["--op", "szasz:4:2"],
         ["--op", "two_point:7:0.5"],
         ["--op", "measure_example:9:0.5"],
+        ["--op", "baskakov:4", "--x", "inf"],
+        ["--op", "szasz:4", "--x", "inf"],
+        ["--op", "bbh:4", "--x", "inf"],
     ])
     def test_out_of_domain_fails(self, args, capsys):
         code, out, err = run_cli(["bounds"] + args, capsys)
         assert code == 1
         assert err.startswith("error:")
         assert out == ""
+
+    @pytest.mark.parametrize("family", ["szasz", "baskakov", "bbh"])
+    def test_infinite_x_gets_the_domain_message(self, family, capsys):
+        _, _, err = run_cli(["bounds", "--op", f"{family}:4", "--x", "inf"], capsys)
+        assert err == f"error: {family} requires x in [0, inf]\n"
 
     @pytest.mark.parametrize("op,x,keys", [
         ("bernstein:8", "0.3", {"new_osc", "new_osc_family", "new_osc_degree",
@@ -205,6 +228,16 @@ class TestSpecialCommand:
             ["special", "--fn", "second_moment", "--n", "4", "--family",
              "bernstein", "--grid", "5"], capsys)
         assert code == 0
+
+    # bessel_i0_scaled takes no degree
+    @pytest.mark.parametrize("fn", sorted(set(cli._SPECIAL_TABLE) - {"bessel_i0_scaled"})
+                             + ["second_moment"])
+    def test_degree_zero_fails(self, fn, capsys):
+        code, out, err = run_cli(["special", "--fn", fn, "--n", "0", "--grid", "5",
+                                  "--family", "bernstein"], capsys)
+        assert code == 1
+        assert err == "error: degree n must be a positive integer\n"
+        assert out == ""
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -377,6 +410,59 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+class TestParserCache:
+    def test_parser_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        calls = [["bounds", "--op", "bernstein:4", "--x", "0.3"],
+                 ["special", "--fn", "phi", "--n", "3", "--grid", "5"],
+                 ["lagrange", "--n", "3", "--grid", "5"],
+                 ["bounds", "--op", "durrmeyer:3"]] * 5
+        for argv in calls:
+            main(argv)
+        with pytest.raises(SystemExit):
+            main(["bounds"])
+        capsys.readouterr()
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(calls))
+
+    def test_usage_exits_leave_the_next_call_as_in_a_fresh_process(
+            self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        sequence = [["bounds", "--op"], ["--help"],
+                    ["bounds", "--op", "szasz:3", "--f", "hat", "--x", "2.5"]]
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "grusslab.cli", *argv],
+                                   env=_python_env(), capture_output=True,
+                                   text=True, timeout=120)
+            assert (code, captured.out, captured.err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_no_process_loads_scipy_special():
+    """One bounds call per family and a small verify leave scipy.special
+    unloaded: the program reads it nowhere."""
+    ops = [f"{fam}:1:0.5" if fam in ONE_POINT_FAMILIES else f"{fam}:3"
+           for fam in FAMILIES]
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from grusslab.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        *[f"    assert main(['bounds', '--op', {op!r}, '--x', '0.5']) == 0"
+          for op in ops],
+        "    assert main(['verify', '--degrees', '1,2', '--xgrid', '9',"
+        " '--conjecture-nmax', '2']) == 0",
+        "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], env=_python_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestNumericFailurePath:
     def test_nonfinite_rhs_fails_loudly(self, tmp_path, capsys, monkeypatch):
         import dataclasses
@@ -547,15 +633,7 @@ class TestBlockErrors:
 def test_optimised_python_gives_the_same_report(tmp_path):
     """No gate or budget check lives in an assert: `python -O` writes the
     same report bytes."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import grusslab
-    env = dict(os.environ)
-    src = str(Path(grusslab.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env = _python_env()
     args = ["-m", "grusslab.cli", "verify", "--families", "bernstein,szasz,measure_example",
             "--degrees", "1,3", "--xgrid", "9", "--grid", "101", "--conjecture-nmax", "3"]
     reports = []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import comb
+from scipy.special import comb, gammaln
 
 from grusslab import operators as ops
 from grusslab.funcspace import standard_corpus
@@ -388,6 +388,29 @@ class TestPairSumOracle:
         assert k.size == 10 and np.all(k < l)
         with pytest.raises(ValueError):
             k[0] = 1
+
+
+class TestLogGamma:
+    def test_scalar_path_bit_equal_to_scipy(self):
+        ks = range(1, 200_001)
+        ours = np.array([ops.log_gamma(k) for k in ks])
+        assert np.array_equal(ours, gammaln(np.arange(1.0, 200_001.0)))
+        for a in (12, 13, 999, 1000, 1e8, 1e8 + 1, 3e9):
+            assert ops.log_gamma(a) == gammaln(a), a
+
+    def test_array_path_within_two_ulp(self):
+        a = np.arange(1.0, 3e6)
+        ours, ref = ops.log_gamma(a), gammaln(a)
+        assert np.all(np.abs(ours - ref) <= 2.0 * np.spacing(ref))
+        wide = np.array([[1.0, 12.0, 13.0], [1000.0, 1e8, 1e8 + 1.0]])
+        assert np.array_equal(ops.log_gamma(wide), gammaln(wide))
+
+    @pytest.mark.parametrize("a", [0, -1, 0.5, math.nan, math.inf])
+    def test_outside_the_domain_raises(self, a):
+        with pytest.raises(ValueError):
+            ops.log_gamma(a)
+        with pytest.raises(ValueError):
+            ops.log_gamma(np.array([2.0, a, 3.0]))
 
 
 class TestPointFunctionalInvariants:

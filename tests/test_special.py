@@ -248,6 +248,19 @@ class TestTheta:
                 assert sp.theta_baskakov(n, float(x)) == uncached(n, float(x)), (n, x)
             assert list(sp._THETA_LOG_COEF) == [n]
 
+    def test_log_binomials_near_exact(self, monkeypatch):
+        """The cached 2 log C(n+k-1, k), halved, lies within 4 eps (lgamma(n+k)
+        + 1) of the exact log C(n+k-1, k); scipy's gammaln reaches 2.35 in
+        these units, as does log_gamma."""
+        monkeypatch.setattr(sp, "_THETA_LOG_COEF", {})
+        size = 10_000
+        for n in (1, 2, 3, 16, 37, 64):
+            coef = sp._theta_log_coef(n, size)
+            for k in range(size):
+                exact = math.log(math.comb(n + k - 1, k))
+                unit = np.finfo(float).eps * (math.lgamma(n + k) + 1.0)
+                assert abs(0.5 * coef[k] - exact) <= 4.0 * unit, (n, k)
+
 
 class TestPsi:
     def test_at_zero(self):
@@ -364,6 +377,16 @@ class TestSecondMoment:
     def test_unsupported_family(self):
         with pytest.raises(ValueError):
             sp.second_moment("szasz", 3, 0.5)
+
+
+@pytest.mark.parametrize("fn", [
+    sp.phi_bernstein, sp.phi_via_legendre, lambda n, _x: sp.central_binom_scaled(n),
+    sp.sigma_szasz, sp.theta_baskakov, sp.psi_bbh, sp.tau_hat, sp.king_sumsq,
+    lambda n, x: sp.second_moment("bernstein", n, x)])
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+def test_degree_must_be_a_positive_integer(fn, n):
+    with pytest.raises(ValueError, match="degree n"):
+        fn(n, 0.25)
 
 
 def test_phi_second_derivative_at_half():
