@@ -52,8 +52,8 @@ __all__ = [
 
 BASE_REL_TOL = 1e-9
 
-#: bytes a batch of points may take per (batch, rows, max(nodes, rows)) array;
-#: a single point wider than this forms a batch of its own
+#: bytes a batch of points may take per (batch, nodes) or (batch, rows, rows)
+#: array; a single point wider than this forms a batch of its own
 BATCH_BYTES = 256 * 1024
 
 #: points a batch may hold at most.  Every table row keeps its (batch, rows,
@@ -159,7 +159,8 @@ class Batch:
     ``osc``, so the zero padding never enters them.  Truncated weights are
     divided by their sum here, so T(e0, g) is 0 up to rounding; the tail
     enters only through the declared slack.  The mixed-measure batch is
-    given T and its working-grid oscillations.
+    given T and its working-grid oscillations.  T and L|f - Lf| are built
+    one corpus row at a time, so no array is (batch, rows, nodes).
 
     T, |T| and the rhs are (batch, rows, rows); ``osc`` is (batch, rows), or
     (rows,) when every point reads every node; per-x coefficients are
@@ -174,7 +175,10 @@ class Batch:
             if block.fam.truncated:
                 w = w / np.sum(w, axis=1, keepdims=True)
             self.a = w @ v.T
-            t = (v * w[:, None, :]) @ v.T - _col(self.a) * _row(self.a)
+            t, wv = np.empty((len(w), len(v), len(v))), np.empty_like(w)
+            for i, vi in enumerate(v):
+                np.matmul(np.multiply(w, vi, out=wv), v.T, out=t[:, i, :])
+            t -= _col(self.a) * _row(self.a)
             if osc is None:
                 osc = v.max(axis=1) - v.min(axis=1)
         self.v, self.w, self.t = v, w, t
@@ -194,8 +198,11 @@ class Batch:
     @functools.cached_property
     def mean_dev(self) -> np.ndarray:
         """L|f - Lf| per x and row."""
-        dev = self.v - self.a[:, :, None]
-        return (np.abs(dev, out=dev) @ self.w[:, :, None])[:, :, 0]
+        out, dev = np.empty_like(self.a), np.empty_like(self.w)
+        for i, vi in enumerate(self.v):
+            np.subtract(vi, self.a[:, i, None], out=dev)
+            out[:, i] = np.einsum("bk,bk->b", np.abs(dev, out=dev), self.w)
+        return out
 
     @functools.cached_property
     def family_coef(self) -> np.ndarray:
@@ -272,11 +279,11 @@ class Block:
         return gv.max(axis=1) - gv.min(axis=1)
 
     def _batch_len(self, nodes: int) -> int:
-        """How many points of ``nodes`` nodes each keep every (batch, rows,
-        nodes) and (batch, rows, rows) array within BATCH_BYTES, at most
+        """How many points of ``nodes`` nodes each keep every (batch, nodes)
+        and (batch, rows, rows) array within BATCH_BYTES, at most
         BATCH_POINTS; at least one."""
         rows = len(self.funcs)
-        return max(1, min(BATCH_POINTS, BATCH_BYTES // (8 * rows * max(nodes, rows))))
+        return max(1, min(BATCH_POINTS, BATCH_BYTES // (8 * max(nodes, rows * rows))))
 
     def _spans(self, nodes: int):
         """(start, stop) of batches of points that read ``nodes`` nodes each."""

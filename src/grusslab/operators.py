@@ -276,10 +276,12 @@ def _truncate(w: np.ndarray, tail_eps: float, up_ratio) -> tuple[np.ndarray, flo
 
     If the initial window does not yet accumulate 1 - tail_eps (slowly
     decaying tails, e.g. nearly geometric weights), it is grown by continuing
-    the upward ratio recurrence.  Long recurrences can leave a rounding
-    deficit of order 1e-11 that no amount of true tail can close; extension
-    stops once the gained mass no longer closes the gap, and the achieved
-    deficit is reported as the tail bound instead.
+    the upward ratio recurrence.  The mode weight, an exp of a difference of
+    log-gammas, and long recurrences can leave a rounding deficit of order
+    1e-11 that no amount of true tail can close; extension stops once the
+    gained mass no longer closes the gap.  The window is then cut where the
+    computed mass left over drops below tail_eps, and the achieved deficit
+    is reported as the tail bound.
     """
     c = np.cumsum(w)
     while 1.0 - c[-1] > tail_eps:
@@ -295,7 +297,8 @@ def _truncate(w: np.ndarray, tail_eps: float, up_ratio) -> tuple[np.ndarray, flo
         c = np.concatenate([c, c[-1] + np.cumsum(ext)])
         if 1.0 - c[-1] > tail_eps and gain < 0.25 * (1.0 - c[-1]):
             break
-    k = int(np.searchsorted(c, 1.0 - tail_eps))
+    top = c[-1] if 1.0 - c[-1] > tail_eps else 1.0
+    k = int(np.searchsorted(c, top - tail_eps))
     k = min(k, w.size - 1)
     tail = max(tail_eps, 1.0 - float(c[k]))
     return w[: k + 1], tail

@@ -455,19 +455,41 @@ def test_batches_match_per_cell_reference(family):
 @pytest.mark.parametrize("family", bnd.TRUNCATED_FAMILIES)
 def test_truncated_batches_keep_byte_budget(family):
     """Batches of degree 64 out to x_max: several x share a batch only while
-    batch x rows x widest window doubles fit BATCH_BYTES; a single x wider
-    than that is a batch of its own."""
+    batch x max(widest window, rows^2) doubles fit BATCH_BYTES; a single x
+    wider than that is a batch of its own.  Budgeting (batch, nodes) rather
+    than (batch, rows, nodes) arrays keeps the block to a few dozen batches."""
     corpus = standard_corpus(FAMILY_DOMAINS[family])
     block = bnd.Block(family, 64, np.linspace(0.0, 50.0, 257), list(corpus.values()))
     rows, sizes, seen = len(corpus), [], []
     for batch in block.batches():
-        nbytes = len(batch.xs) * rows * max(batch.w.shape[1], rows) * 8
+        nbytes = len(batch.xs) * max(batch.w.shape[1], rows * rows) * 8
         assert len(batch.xs) == 1 or nbytes <= bnd.BATCH_BYTES, (batch.xs, nbytes)
         assert batch.w.shape == (len(batch.xs), batch.v.shape[1])
         sizes.append(len(batch.xs))
         seen.extend(batch.xs)
     assert np.array_equal(seen, block.xs)
-    assert max(sizes) > 1 and sizes[-1] == 1
+    assert max(sizes) > 1
+    assert len(sizes) <= {"szasz": 26, "baskakov": 61}[family], len(sizes)
+
+
+def test_wide_window_batch_forms_no_rows_by_nodes_array():
+    """A one-point baskakov:64 batch at x = 50 reads 6,710 nodes over 10
+    rows.  Forming it and reading L|f - Lf| and T(f, 1 - f) allocate less
+    than half of one (rows, nodes) array of doubles."""
+    import tracemalloc
+    funcs = list(standard_corpus(FAMILY_DOMAINS["baskakov"]).values())
+    block = bnd.Block("baskakov", 64, [50.0], funcs)
+    w, tail, _ = ops.FAMILY["baskakov"].weights(64, 50.0, ops.TAIL_EPS)
+    v = np.stack([f.values(np.arange(w.size) / 64) for f in funcs])
+    assert v.shape == (10, 6710)
+    tracemalloc.start()
+    try:
+        batch = bnd.Batch(block, 0, v, w[None, :], tail=np.array([tail]))
+        batch.mean_dev, batch.anti_t(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < v.nbytes / 2, (peak, v.nbytes)
 
 
 @pytest.mark.parametrize("family", ["bernstein", "sdelta", "two_point", "measure_example"])

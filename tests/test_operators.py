@@ -131,6 +131,19 @@ class TestBaskakov:
             assert abs(a - b) < 10.0 * 1e-8 * 1.0
 
 
+@pytest.mark.parametrize("family, n, x", [("szasz", 32, 36.328125),
+                                          ("baskakov", 16, 44.7265625)])
+def test_rounding_deficit_does_not_widen_window(family, n, x):
+    """Here the computed masses sum to about 1 - 1.4e-12 from rounding in the
+    mode weight alone; extension cannot close that, and the window is cut at
+    the 1e-12 quantile, not at the end of the appended chunk."""
+    from scipy import stats
+    L = ops.point_functional(family, n, x, 1e-12)
+    law = stats.poisson(n * x) if family == "szasz" else stats.nbinom(n, 1.0 / (1.0 + x))
+    assert L.weights.size <= law.isf(1e-12) + 2, L.weights.size
+    assert 1e-12 <= L.tail_mass_bound <= 1e-11
+
+
 class TestBBH:
     def test_degree_one_expansion(self):
         for x in (0.0, 0.5, 3.0):
