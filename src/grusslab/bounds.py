@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -77,13 +77,11 @@ class BoundResult:
     g: str
     lhs: float
     rhs: dict[str, float]
-    margins: dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.margins:
-            object.__setattr__(
-                self, "margins", {k: v - self.lhs for k, v in self.rhs.items()}
-            )
+    @property
+    def margins(self) -> dict[str, float]:
+        """rhs - lhs per bound."""
+        return {k: v - self.lhs for k, v in self.rhs.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -245,9 +243,7 @@ class Block:
         if not self.rows:
             raise ValueError(f"unknown family {family!r}")
         self.fam = ops.FAMILY[family]
-        lo, hi = self.funcs[0].domain
-        if np.any(self.xs < lo) or np.any(self.xs > hi):
-            raise ValueError(f"{family} requires x in [{lo:g}, {hi:g}]")
+        self.fam.check_point(family, self.xs)
         lo, hi = self.funcs[0].interval
         self.envelope_step = (hi - lo) / (grid_n - 1)
         #: (first x, last x) of the batch being formed or evaluated
@@ -284,14 +280,6 @@ class Block:
         BATCH_POINTS; at least one."""
         rows = len(self.funcs)
         return max(1, min(BATCH_POINTS, BATCH_BYTES // (8 * max(nodes, rows * rows))))
-
-    def _spans(self, nodes: int):
-        """(start, stop) of batches of points that read ``nodes`` nodes each."""
-        size = self._batch_len(nodes)
-        for start in range(0, len(self.xs), size):
-            stop = min(start + size, len(self.xs))
-            self.x_span = (float(self.xs[start]), float(self.xs[stop - 1]))
-            yield start, stop
 
     def batches(self):
         """The block's points in x order, in batches of consecutive x."""
@@ -348,8 +336,10 @@ class Block:
         vq = _rows_at(self.funcs, xq)
         int_v, int_prod = vq @ sw, (vq * sw) @ vq.T
         mid = np.array([float(f.values(np.array([0.5]))[0]) for f in self.funcs])
-        for start, stop in self._spans(len(self.funcs)):
-            a = self.xs[start:stop]
+        size = self._batch_len(len(self.funcs))
+        for start in range(0, len(self.xs), size):
+            a = self.xs[start:start + size]
+            self.x_span = (float(a[0]), float(a[-1]))
             lf = _col(a) * int_v + _col(1.0 - a) * mid
             lfg = _per_x(a) * int_prod + _per_x(1.0 - a) * (_col(mid) * _row(mid))
             yield Batch(self, start, t=lfg - _col(lf) * _row(lf), osc=self.grid_osc)

@@ -123,6 +123,8 @@ _SPECIAL_TABLE = {
 
 
 def _cmd_special(args) -> int:
+    if not math.isfinite(args.xmax):
+        raise ValueError(f"xmax must be finite, got {args.xmax}")
     if args.fn == "second_moment":
         if not args.family:
             print("second_moment needs --family", file=sys.stderr)
@@ -131,7 +133,7 @@ def _cmd_special(args) -> int:
         rows = [{"n": args.n, "x": float(x),
                  "value": special.second_moment(args.family, args.n, float(x))}
                 for x in xs]
-    elif args.fn in _SPECIAL_TABLE:
+    else:
         kind, fn = _SPECIAL_TABLE[args.fn]
         if kind == "scalar":
             rows = [{"n": args.n, "x": None, "value": fn(args.n, 0.0)}]
@@ -144,9 +146,6 @@ def _cmd_special(args) -> int:
                 xs = np.linspace(0.0, args.xmax, args.grid)
             rows = [{"n": args.n, "x": float(x), "value": fn(args.n, float(x))}
                     for x in xs]
-    else:
-        print(f"unknown special function {args.fn!r}", file=sys.stderr)
-        return 2
     _write_out(_csv(rows, ["n", "x", "value"]), args.out)
     return 0
 
@@ -159,15 +158,8 @@ def _cmd_lagrange(args) -> int:
              "pair_product_sum": lag.pair_product_sum(n, float(x))}
             for x in xs]
     _write_out(_csv(rows, ["x", "lebesgue_function", "pair_product_sum"]), args.out)
-    window = []
-    for m in range(2, max(n, 2) + 1) if args.window else [n]:
-        if m < 2:
-            continue
-        gap = lag.rivlin_gap(m)
-        window.append({"n": m, "lebesgue_constant": lag.lebesgue_constant(m),
-                       "gap": gap,
-                       "in_window": bool(lag.RIVLIN_LO < gap < lag.RIVLIN_HI),
-                       "hermann_min_ratio": lag.hermann_ratio(m)})
+    degrees = range(2, max(n, 2) + 1) if args.window else [n]
+    window = [lag.rivlin_row(m) for m in degrees if m >= 2]
     sys.stdout.write(_csv(window, ["n", "lebesgue_constant", "gap", "in_window",
                                    "hermann_min_ratio"]))
     return 0

@@ -61,16 +61,8 @@ class RealFunction:
         return self.fn(x)
 
     def values(self, xs) -> np.ndarray:
-        """Evaluate on an array, falling back to a scalar loop if needed."""
-        arr = np.asarray(xs, dtype=float)
-        try:
-            out = np.asarray(self.fn(arr), dtype=float)
-        except (TypeError, ValueError):
-            out = np.array([float(self.fn(float(v))) for v in arr.ravel()])
-            return out.reshape(arr.shape)
-        if out.shape != arr.shape:
-            out = np.broadcast_to(out, arr.shape).astype(float)
-        return out
+        """Evaluate on an array; ``fn`` maps an array to one of its shape."""
+        return np.asarray(self.fn(np.asarray(xs, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -112,8 +104,6 @@ def check_inside(f: RealFunction, lo: float, hi: float) -> None:
 
 def oscillation(f: RealFunction, nodes: NodeSet) -> float:
     """Largest |f(x_k) - f(x_l)| over node pairs, i.e. max - min of node values."""
-    if len(nodes) == 0:
-        raise ValueError("oscillation over an empty node set")
     check_inside(f, nodes.nodes[0], nodes.nodes[-1])
     vals = f.values(nodes.nodes)
     return float(np.max(vals) - np.min(vals))

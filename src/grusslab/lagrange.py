@@ -30,6 +30,7 @@ __all__ = [
     "lagrange_classical_bound",
     "hermann_ratio",
     "rivlin_gap",
+    "rivlin_row",
 ]
 
 _NODE_HIT = 1e-14
@@ -147,6 +148,15 @@ def pair_product_sum(n: int, x: float) -> float:
 def rivlin_gap(n: int) -> float:
     """||L_n|| - (2/pi) ln n; lands in (0.9625, 1) for n >= 2."""
     return lebesgue_constant(n) - (2.0 / math.pi) * math.log(n)
+
+
+def rivlin_row(n: int) -> dict:
+    """The Lebesgue constant, the Rivlin gap and whether it lies in the
+    window (both None below n = 2), and the Hermann ratio at degree n."""
+    gap = rivlin_gap(n) if n >= 2 else None
+    return {"n": n, "lebesgue_constant": lebesgue_constant(n), "gap": gap,
+            "in_window": None if gap is None else bool(RIVLIN_LO < gap < RIVLIN_HI),
+            "hermann_min_ratio": hermann_ratio(n)}
 
 
 def lagrange_new_bound(n: int, f: RealFunction, g: RealFunction, x: float):

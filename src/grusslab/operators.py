@@ -400,6 +400,13 @@ class Family:
     def truncated(self) -> bool:
         return self.nodes is None and self.weights is not None
 
+    def check_point(self, name: str, x) -> None:
+        """Reject x, a point or an array of points, unless every point is
+        finite and inside the domain; ``name`` is this family's."""
+        lo, hi = self.domain
+        if not np.all(np.isfinite(x) & (x >= lo) & (x <= hi)):
+            raise ValueError(f"{name} requires x in [{lo:g}, {hi:g}]")
+
 
 def _unit_nodes(n: int) -> np.ndarray:
     return np.arange(n + 1) / n
@@ -460,9 +467,7 @@ def point_functional(family: str, n: int, x: float,
     if fam is None or fam.weights is None:
         raise ValueError(f"{family} has no point-functional form")
     _check_degree(n)
-    lo, hi = fam.domain
-    if not (lo <= x <= hi and math.isfinite(x)):
-        raise ValueError(f"{family} requires x in [{lo:g}, {hi:g}]")
+    fam.check_point(family, x)
     if tail_eps <= 0.0:
         raise ValueError("tail_eps must be positive")
     w, tail, span = fam.weights(n, x, tail_eps)
@@ -531,8 +536,7 @@ def simpson_weights(quad_n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def measure_example_T(a: float, f: RealFunction, g: RealFunction,
-                      quad_n: int = QUAD_N,
-                      grid: NodeSet | None = None) -> tuple[float, float]:
+                      quad_n: int = QUAD_N) -> tuple[float, float]:
     """Chebyshev functional and oscillation bound for a*Lebesgue + (1-a)*delta_{1/2}.
 
     Returns (T, rhs) where T = L(fg) - L(f)L(g) with the Lebesgue part done by
@@ -540,8 +544,6 @@ def measure_example_T(a: float, f: RealFunction, g: RealFunction,
     with oscillations over the global grid (the product measure charges all of
     [0,1]^2 whenever a > 0).
     """
-    if quad_n < 1:
-        raise ValueError("quad_n must be >= 1")
     if not 0.0 <= a <= 1.0:
         raise ValueError("measure_example_T requires a in [0, 1]")
     xs, sw = simpson_weights(quad_n)
@@ -556,13 +558,10 @@ def measure_example_T(a: float, f: RealFunction, g: RealFunction,
     lg = a * int_g + (1.0 - a) * gm
     lfg = a * int_fg + (1.0 - a) * fm * gm
     t_val = lfg - lf * lg
-    if grid is None:
-        grid = uniform_grid(0.0, 1.0)
     if a == 0.0:
-        rhs = 0.0
-    else:
-        rhs = 0.5 * a * (2.0 - a) * oscillation(f, grid) * oscillation(g, grid)
-    return t_val, rhs
+        return t_val, 0.0
+    grid = uniform_grid(0.0, 1.0)
+    return t_val, 0.5 * a * (2.0 - a) * oscillation(f, grid) * oscillation(g, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -91,9 +91,7 @@ def scaled_bessel_i0(z: float) -> float:
     representation (1/pi) int_-1^1 exp(-z(1+t))/sqrt(1-t^2) dt, which handles
     large z without overflow or cancellation.
     """
-    if z < 0.0:
-        raise ValueError("scaled_bessel_i0 needs z >= 0")
-    if z <= 30.0:
+    if _check_ray(z) <= 30.0:
         term = math.exp(-z)
         acc = term
         r = 0.25 * z * z
@@ -112,9 +110,7 @@ def scaled_bessel_i0(z: float) -> float:
 def sigma_szasz(n: int, x: float) -> float:
     """exp(-2nx) * sum (nx)^(2k) / (k!)^2, summed from the peak term outward."""
     _check_degree(n)
-    if x < 0.0:
-        raise ValueError("sigma_szasz needs x >= 0")
-    z = 2.0 * n * x
+    z = 2.0 * n * _check_ray(x)
     if z == 0.0:
         return 1.0
     half = 0.5 * z
@@ -175,9 +171,7 @@ def theta_baskakov(n: int, x: float) -> float:
     calls.
     """
     _check_degree(n)
-    if x < 0.0:
-        raise ValueError("theta_baskakov needs x >= 0")
-    if x == 0.0:
+    if _check_ray(x) == 0.0:
         return 1.0
     q = x / (1.0 + x)
     mean = n * x
@@ -195,9 +189,7 @@ def theta_baskakov(n: int, x: float) -> float:
 def psi_bbh(n: int, t: float) -> float:
     """sum C(n,k)^2 t^(2k) / (1+t)^(2n); equals phi_n at x = t/(1+t)."""
     _check_degree(n)
-    if t < 0.0:
-        raise ValueError("psi_bbh needs t >= 0")
-    if t == 0.0:
+    if _check_ray(t) == 0.0:
         return 1.0
     ks = np.arange(n + 1.0)
     logc = log_gamma(n + 1.0) - log_gamma(ks + 1.0) - log_gamma(n - ks + 1.0)
@@ -237,4 +229,10 @@ def second_moment(family: str, n: int, x: float) -> float:
 def _check_unit(x: float) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError("argument must lie in [0, 1]")
+    return x
+
+
+def _check_ray(x: float) -> float:
+    if not 0.0 <= x < math.inf:
+        raise ValueError("argument must lie in [0, inf)")
     return x

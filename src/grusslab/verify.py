@@ -215,10 +215,8 @@ class _Accum:
     def sign_stats(self, xs: np.ndarray, t_mat: np.ndarray, t_anti: np.ndarray,
                    names: tuple[str, ...]) -> None:
         """Fold one batch of T (batch, rows, rows) and T(e1, 1 - e1) (batch,)
-        into the block's extrema."""
+        into the block's extrema; ``names`` holds e1."""
         idx = {nm: k for k, nm in enumerate(names)}
-        if "e1" not in idx:
-            return
         i = idx["e1"]
         cols = [i, idx["e2"]] if "e2" in idx else [i]
         self.com = _extreme(self.com, xs, np.min(t_mat[:, i, cols], axis=1), True)
@@ -546,18 +544,8 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerificationReport:
     conj = [{k: _json_number(v) if isinstance(v, float) else v for k, v in f.items()}
             for f in conj]
 
-    rivlin = []
-    if "lagrange_cheb" in cfg.families:
-        for n in cfg.degrees:
-            gap = lag.rivlin_gap(n) if n >= 2 else None
-            rivlin.append({
-                "n": n,
-                "lebesgue_constant": lag.lebesgue_constant(n),
-                "gap": gap,
-                "in_window": None if gap is None
-                else bool(lag.RIVLIN_LO < gap < lag.RIVLIN_HI),
-                "hermann_min_ratio": lag.hermann_ratio(n),
-            })
+    rivlin = ([lag.rivlin_row(n) for n in cfg.degrees]
+              if "lagrange_cheb" in cfg.families else [])
 
     suites = {
         "bound_sweep": {

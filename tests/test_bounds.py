@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,11 @@ class TestMercer:
             bnd.mercer_bound(L, corpus_pm["e1"], corpus_pm["e1"],
                              ((0, 1), (0, 1)))
 
+    def test_inverted_range_rejected(self, corpus01):
+        e1 = corpus01["e1"]
+        with pytest.raises(ValueError, match="m <= M"):
+            bnd.mercer_bound(ops.bernstein_at(4, 0.3), e1, e1, ((1.0, 0.0), (0.0, 1.0)))
+
 
 class TestClassicalWS:
     def test_bernstein_identity_equality(self, corpus01):
@@ -91,6 +98,10 @@ class TestClassicalWS:
     def test_unsupported_family(self, corpus01):
         with pytest.raises(ValueError):
             bnd.classical_ws_bound("szasz", 2, 0.5, corpus01["e1"], corpus01["e1"])
+
+    def test_no_uniform_form_for_king(self, corpus01):
+        with pytest.raises(ValueError, match="no x-free classical form"):
+            bnd.classical_ws_uniform("king", 4, corpus01["e1"], corpus01["e1"])
 
     def test_uniform_majorizes_pointwise(self, corpus01):
         f, g = corpus01["sinpi"], corpus01["randlip"]
@@ -535,3 +546,29 @@ def test_one_shot_agrees_with_sweep_batch(family):
                 for one, swept in pairs:
                     assert abs(one - swept) <= 1e-12 * max(abs(one), abs(swept)) + 1e-13, \
                         (family, x, names[i], names[j], one, swept)
+
+
+def test_block_rejects_unknown_family(corpus01):
+    with pytest.raises(ValueError, match="unknown family 'durrmeyer'"):
+        bnd.Block("durrmeyer", 2, [0.5], list(corpus01.values()))
+
+
+@pytest.mark.parametrize("family,xs", [
+    ("bernstein", [0.0, math.nan, 1.0]),
+    ("lagrange_cheb", [-1.0, math.nan, 1.0]),
+    ("szasz", [1.0, math.nan, 2.0]),
+    ("baskakov", [1.0, 2.0, math.inf]),
+    ("measure_example", [0.25, math.nan]),
+])
+def test_block_with_a_non_finite_point_raises_before_any_batch(family, xs, monkeypatch):
+    """The admissible-point rule runs over every x when the block is built,
+    before a weight builder or a batch sees one."""
+    def reached(*_args):
+        raise AssertionError("a weight builder ran")
+    for name in ("_binomial_weights", "_poisson_weights", "_negbin_weights"):
+        monkeypatch.setattr(ops, name, reached)
+    monkeypatch.setattr(lag, "basis_weights", reached)
+    funcs = list(standard_corpus(FAMILY_DOMAINS[family]).values())
+    lo, hi = ops.FAMILY[family].domain
+    with pytest.raises(ValueError, match=rf"^{family} requires x in \[{lo:g}, {hi:g}\]$"):
+        bnd.Block(family, 1, xs, funcs)

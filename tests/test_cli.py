@@ -12,7 +12,7 @@ import pytest
 import grusslab
 from grusslab import cli
 from grusslab.cli import main
-from grusslab.operators import FAMILIES, ONE_POINT_FAMILIES
+from grusslab.operators import FAMILIES, FAMILY, ONE_POINT_FAMILIES
 
 
 def run_cli(args, capsys):
@@ -161,6 +161,24 @@ class TestBoundsCommand:
         _, _, err = run_cli(["bounds", "--op", f"{family}:4", "--x", "inf"], capsys)
         assert err == f"error: {family} requires x in [0, inf]\n"
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_non_finite_x_gets_the_domain_message(self, family, x, capsys):
+        """A one-point family takes its parameter a as x."""
+        if family in ONE_POINT_FAMILIES:
+            args, want = ["--op", f"{family}:1:{x}"], "a parameter a in [0, 1]"
+        else:
+            lo, hi = FAMILY[family].domain
+            args, want = ["--op", f"{family}:4", f"--x={x}"], f"x in [{lo:g}, {hi:g}]"
+        code, out, err = run_cli(["bounds"] + args, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {family} requires {want}\n"
+
+    def test_spec_with_four_parts_fails(self, capsys):
+        code, out, err = run_cli(["bounds", "--op", "bernstein:1:2:3"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: cannot parse operator spec 'bernstein:1:2:3'\n"
+
     @pytest.mark.parametrize("op,x,keys", [
         ("bernstein:8", "0.3", {"new_osc", "new_osc_family", "new_osc_degree",
                                 "gruss_quarter", "mercer", "classical_ws",
@@ -239,6 +257,20 @@ class TestSpecialCommand:
         assert err == "error: degree n must be a positive integer\n"
         assert out == ""
 
+    @pytest.mark.parametrize("fn,xmax", [("psi", "nan"), ("psi", "inf"),
+                                         ("sigma", "nan")])
+    def test_non_finite_xmax_fails_before_any_work(self, fn, xmax, capsys,
+                                                   monkeypatch):
+        from grusslab import special
+
+        def reached(*_args):
+            raise AssertionError("a special function ran")
+        for name in ("psi_bbh", "sigma_szasz"):
+            monkeypatch.setattr(special, name, reached)
+        code, out, err = run_cli(["special", "--fn", fn, "--xmax", xmax], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: xmax must be finite, got {xmax}\n"
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["special", "--fn", "theta", "--n", "3", "--grid", "9"]
@@ -258,6 +290,20 @@ class TestLagrangeCommand:
         assert all(float(r["lebesgue_function"]) >= 1.0 - 1e-12 for r in rows)
         window = list(csv.DictReader(io.StringIO(stdout)))
         assert window[0]["in_window"] == "true"
+
+    def test_window_rows_equal_the_report_rows(self, tmp_path, capsys):
+        from grusslab.verify import SuiteConfig, run_suite
+        code, stdout, _ = run_cli(["lagrange", "--n", "8", "--window", "--grid", "3",
+                                   "--out", str(tmp_path / "lag.csv")], capsys)
+        assert code == 0
+        printed = [{"n": int(r["n"]), "lebesgue_constant": float(r["lebesgue_constant"]),
+                    "gap": float(r["gap"]), "in_window": r["in_window"] == "true",
+                    "hermann_min_ratio": float(r["hermann_min_ratio"])}
+                   for r in csv.DictReader(io.StringIO(stdout))]
+        report = run_suite(SuiteConfig(families=("lagrange_cheb",),
+                                       degrees=tuple(range(2, 9)), x_grid=3,
+                                       grid_n=101, conjecture_nmax=2))
+        assert printed == report.suites["lagrange_diagnostics"]["rivlin"]
 
 
 class TestConjecturesCommand:

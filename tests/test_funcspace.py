@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grusslab.funcspace import (CORPUS_NAMES, NodeSet, concave_majorant,
-                                envelope_of, modulus, modulus_profile,
-                                oscillation, range_on_grid, standard_corpus,
-                                uniform_grid)
+from grusslab.funcspace import (CORPUS_NAMES, NodeSet, RealFunction,
+                                concave_majorant, envelope_of, modulus,
+                                modulus_profile, oscillation, range_on_grid,
+                                standard_corpus, uniform_grid)
 
 
 def brute_oscillation(f, nodes):
@@ -183,6 +183,29 @@ class TestProfile:
     def test_needs_uniform_grid(self, corpus01):
         with pytest.raises(ValueError):
             modulus_profile(corpus01["e1"], NodeSet([0.0, 0.1, 0.5]))
+
+    def test_needs_two_points(self, corpus01):
+        with pytest.raises(ValueError, match="at least 2 grid points"):
+            modulus_profile(corpus01["e1"], NodeSet([0.5]))
+
+
+class TestInputChecks:
+    def test_empty_domain(self):
+        with pytest.raises(ValueError, match="empty domain"):
+            RealFunction("flat", (1.0, 1.0), lambda x: x)
+
+    def test_grid_needs_two_points(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            uniform_grid(0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("ts,omega", [
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+        (np.array([0.0, 1.0]), np.array([0.0])),
+        (np.array([]), np.array([])),
+    ])
+    def test_majorant_needs_matching_1d_samples(self, ts, omega):
+        with pytest.raises(ValueError, match="matching nonempty 1-d"):
+            concave_majorant(ts, omega)
 
 
 def test_randlip_is_lipschitz_and_seeded():

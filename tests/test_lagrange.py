@@ -35,6 +35,10 @@ class TestGrid:
         want = np.sort(np.cos((2 * np.arange(1, 4) - 1) * math.pi / 6))
         assert np.allclose(g.nodes, want, atol=1e-15)
 
+    def test_needs_a_node(self):
+        with pytest.raises(ValueError, match="positive number of nodes"):
+            lag.chebyshev_grid(0)
+
 
 class TestBasis:
     def test_single_node(self):

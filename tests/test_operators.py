@@ -453,6 +453,39 @@ class TestPointFunctionalInvariants:
             ops.PointFunctional(np.array([0.2, 0.2]), np.array([0.5, 0.5]),
                                 positive=True)
 
+    def test_mismatched_arrays_rejected(self):
+        with pytest.raises(ValueError, match="matching nonempty"):
+            ops.PointFunctional(np.array([0.0, 1.0]), np.array([1.0]), positive=True)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
+    def test_binomial_parameter_outside_unit(self, p):
+        with pytest.raises(ValueError, match="binomial parameter"):
+            ops._binomial_weights(4, p)
+
+    @pytest.mark.parametrize("x", [-0.1, 1.1, math.nan])
+    def test_r_star_outside_unit(self, x):
+        with pytest.raises(ValueError, match="r_star requires x"):
+            ops.r_star(4, x)
+
+    def test_simpson_needs_a_panel(self):
+        with pytest.raises(ValueError, match="quad_n"):
+            ops.simpson_weights(0)
+
+    def test_measure_example_parameter_outside_unit(self, corpus01):
+        e1 = corpus01["e1"]
+        with pytest.raises(ValueError, match="requires a in"):
+            ops.measure_example_T(1.5, e1, e1)
+
+    def test_truncation_hard_cap(self, monkeypatch):
+        # masses 0.01 * 0.99^k sum to 1 only after about 2,750 terms; each
+        # extension gains enough to go on, so the window grows past the cap
+        monkeypatch.setattr(ops, "_KCAP", 100)
+        w = 0.01 * 0.99 ** np.arange(4.0)
+        with pytest.raises(ArithmeticError, match="hard cap"):
+            ops._truncate(w, 1e-12, lambda k: np.full(k.shape, 0.99))
+
 
 class TestOperatorSpec:
     def test_roundtrip(self):

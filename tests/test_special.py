@@ -389,6 +389,20 @@ def test_degree_must_be_a_positive_integer(fn, n):
         fn(n, 0.25)
 
 
+@pytest.mark.parametrize("fn", [
+    sp.sigma_szasz, sp.theta_baskakov, sp.psi_bbh,
+    lambda _n, z: sp.scaled_bessel_i0(z)])
+@pytest.mark.parametrize("x", [-0.5, math.nan, math.inf])
+def test_ray_argument_must_be_finite_and_nonnegative(fn, x):
+    with pytest.raises(ValueError, match=r"^argument must lie in \[0, inf\)$"):
+        fn(3, x)
+
+
+def test_legendre_order_must_be_nonnegative():
+    with pytest.raises(ValueError, match="order n >= 0"):
+        sp.legendre_P(-1, 0.5)
+
+
 def test_phi_second_derivative_at_half():
     h = 1e-3
     for n in (1, 2, 8, 33, 64):
