@@ -122,12 +122,6 @@ def allowance(lhs, rhs, extra=0.0):
     return BASE_REL_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))) + extra
 
 
-def truncation_slack(tail, osc_f, osc_g):
-    """The tail deficit enters T through node values, and every corpus member
-    has |f| <= 1 + osc over the truncated nodes."""
-    return 3.0 * tail * (_col(osc_f + 1.0) * _row(osc_g + 1.0))
-
-
 def quadrature_slack(quad_n, osc_f, osc_g):
     """Composite Simpson on quad_n panels (the mixed-measure example)."""
     return (8.0 / quad_n) * (1.0 + _col(osc_f) * _row(osc_g))
@@ -154,24 +148,21 @@ class Batch:
     values ``v`` (rows, nodes), shared by its points, and weights ``w``
     (batch, nodes), zero past each point's own nodes.  Where a point does not
     read every node, its oscillations over its own nodes are given as
-    ``osc``, so the zero padding never enters them.  Truncated weights are
-    divided by their sum here, so T(e0, g) is 0 up to rounding; the tail
-    enters only through the declared slack.  The mixed-measure batch is
-    given T and its working-grid oscillations.  T and L|f - Lf| are built
-    one corpus row at a time, so no array is (batch, rows, nodes).
+    ``osc``, so the zero padding never enters them.  A truncated family's
+    weights arrive divided by their sum, so every row holds for the window
+    functional they form with the base allowance alone.  The mixed-measure
+    batch is given T and its working-grid oscillations.  T and L|f - Lf| are
+    built one corpus row at a time, so no array is (batch, rows, nodes).
 
     T, |T| and the rhs are (batch, rows, rows); ``osc`` is (batch, rows), or
     (rows,) when every point reads every node; per-x coefficients are
     (batch, 1, 1).
     """
 
-    def __init__(self, block: Block, start: int, v=None, w=None, *, osc=None,
-                 tail=None, t=None):
-        self.block, self.tail = block, tail
+    def __init__(self, block: Block, start: int, v=None, w=None, *, osc=None, t=None):
+        self.block = block
         self.xs = block.xs[start:start + len(w if t is None else t)]
         if w is not None:
-            if block.fam.truncated:
-                w = w / np.sum(w, axis=1, keepdims=True)
             self.a = w @ v.T
             t, wv = np.empty((len(w), len(v), len(v))), np.empty_like(w)
             for i, vi in enumerate(v):
@@ -302,13 +293,13 @@ class Block:
         start, points, widest = 0, [], 0
         for ix, x in enumerate(self.xs):
             self.x_span = (float(self.xs[start]), float(x))
-            w, tail, span = fam.weights(n, float(x), eps)
+            w, _, span = fam.weights(n, float(x), eps)
             width = w.size if truncated else v.shape[1]
             if points and len(points) + 1 > self._batch_len(max(widest, width)):
                 yield self._batch(start, v, points, widest)
                 start, points, widest = ix, [], 0
                 self.x_span = (float(x), float(x))
-            points.append((w, tail, span))
+            points.append((w, span))
             widest = max(widest, width)
             if truncated and w.size > v.shape[1]:
                 size = max(size, w.size) + 256
@@ -316,20 +307,19 @@ class Block:
         yield self._batch(start, v, points, widest)
 
     def _batch(self, start: int, v: np.ndarray, points, width: int) -> Batch:
-        """A batch of ``(w, tail, span)`` points: each w placed at its span of
-        a zero-padded (batch, width) array, with oscillations over each span
+        """A batch of ``(w, span)`` points: each w placed at its span of a
+        zero-padded (batch, width) array, with oscillations over each span
         unless every point reads every node."""
         self.x_span = (float(self.xs[start]), float(self.xs[start + len(points) - 1]))
-        spans = [(0, w.size) if span is None else span for w, _, span in points]
+        spans = [(0, w.size) if span is None else span for w, span in points]
         w = np.zeros((len(points), width))
-        for b, ((wb, _, _), (lo, hi)) in enumerate(zip(points, spans)):
+        for b, ((wb, _), (lo, hi)) in enumerate(zip(points, spans)):
             w[b, lo:hi] = wb
         osc = None
-        if any(span is not None for _, _, span in points):
+        if any(span is not None for _, span in points):
             osc = np.stack([v[:, lo:hi].max(axis=1) - v[:, lo:hi].min(axis=1)
                             for lo, hi in spans])
-        tail = np.array([t for _, t, _ in points]) if self.fam.truncated else None
-        return Batch(self, start, v[:, :width], w, osc=osc, tail=tail)
+        return Batch(self, start, v[:, :width], w, osc=osc)
 
     def _measure_batches(self):
         xq, sw = ops.simpson_weights(self.quad_n)
@@ -415,10 +405,6 @@ def degree_coefficient(n: int) -> float:
     return n / (2.0 * (n + 1.0))
 
 
-def _truncation(c: Batch):
-    return 0.0 if c.tail is None else truncation_slack(_per_x(c.tail), c.osc, c.osc)
-
-
 def _quadrature(c: Batch):
     if c.block.family != "measure_example":
         return 0.0
@@ -460,27 +446,21 @@ _FAMILY_COEF = ("bernstein", "sdelta", "szasz", "baskakov", "bbh", "king")
 #: every right-hand side and slack term, in evaluation order
 BOUNDS = (
     Bound("new_osc", _POSITIVE_POINT + ("lagrange_cheb",),
-          lambda c: c.pair_coef * c.osc_outer, (_truncation,)),
-    Bound("new_osc_family", _FAMILY_COEF,
-          lambda c: c.family_coef * c.osc_outer,
-          (_truncation,)),
-    Bound("lattice_family_vs_new", _FAMILY_COEF, slack=(_truncation,),
-          lattice=("new_osc_family", "new_osc")),
+          lambda c: c.pair_coef * c.osc_outer),
+    Bound("new_osc_family", _FAMILY_COEF, lambda c: c.family_coef * c.osc_outer),
+    Bound("lattice_family_vs_new", _FAMILY_COEF, lattice=("new_osc_family", "new_osc")),
     Bound("new_osc_degree", ("bernstein", "king"),
           lambda c: degree_coefficient(c.block.n) * c.osc_outer),
     # working-grid ranges are not a theorem for the unbounded corpus members
     Bound("new_osc_globalrange", TRUNCATED_FAMILIES,
           lambda c: c.pair_coef * (_col(c.block.grid_osc) * _row(c.block.grid_osc)),
-          (_truncation,), gated=False),
+          gated=False),
     Bound("gruss_quarter", _POSITIVE_POINT + ("measure_example",),
-          lambda c: 0.25 * c.osc_outer, (_truncation, _quadrature),
-          sweep_only=("measure_example",)),
+          lambda c: 0.25 * c.osc_outer, (_quadrature,), sweep_only=("measure_example",)),
     Bound("mercer", _POSITIVE_POINT,
           lambda c: 0.5 * np.minimum(_col(c.osc) * _row(c.mean_dev),
-                                     _col(c.mean_dev) * _row(c.osc)),
-          (_truncation,)),
-    Bound("lattice_gruss_vs_mercer", _POSITIVE_POINT, slack=(_truncation,),
-          lattice=("gruss_quarter", "mercer")),
+                                     _col(c.mean_dev) * _row(c.osc))),
+    Bound("lattice_gruss_vs_mercer", _POSITIVE_POINT, lattice=("gruss_quarter", "mercer")),
     _classical_ws("classical_ws", ("bernstein", "sdelta", "king"),
                   lambda c: c.env_moment),
     _classical_ws("classical_ws_uniform", ("bernstein", "sdelta"),
@@ -570,8 +550,8 @@ def new_bound_signed(L: PointFunctional, f: RealFunction, g: RealFunction) -> fl
 def specialized_rhs(family: str, n: int, x: float | None = None) -> float:
     """Per-family closed-form coefficient multiplying osc(f) * osc(g).
 
-    Majorizes the pointwise coefficient (1 - sum w^2)/2 at every admissible x
-    (up to truncation slack for the infinite families).
+    Majorizes the pointwise coefficient (1 - sum w^2)/2 at every admissible x,
+    for szasz and baskakov that of the window weights divided by their sum.
     """
     if family == "bernstein" or family == "bbh":
         return 0.5 * (1.0 - special.central_binom_scaled(n))

@@ -19,7 +19,7 @@ import numpy as np
 from . import lagrange as lag
 from . import operators as ops
 from . import special
-from .funcspace import CORPUS_NAMES, standard_corpus
+from .funcspace import CORPUS_NAMES, check_grid, standard_corpus
 from .verify import (CONJECTURE_GRID, FAMILY_DOMAINS, SuiteConfig,
                      conjecture_scan, equality_holds, half_point_holds,
                      one_shot_bounds, run_suite, sharpness_suite)
@@ -125,6 +125,7 @@ _SPECIAL_TABLE = {
 def _cmd_special(args) -> int:
     if not math.isfinite(args.xmax):
         raise ValueError(f"xmax must be finite, got {args.xmax}")
+    check_grid(args.grid)
     if args.fn == "second_moment":
         if not args.family:
             print("second_moment needs --family", file=sys.stderr)
@@ -152,6 +153,7 @@ def _cmd_special(args) -> int:
 
 def _cmd_lagrange(args) -> int:
     n = args.n
+    check_grid(args.grid)
     xs = np.linspace(-1.0, 1.0, args.grid)
     rows = [{"x": float(x),
              "lebesgue_function": lag.lebesgue_function(n, float(x)),

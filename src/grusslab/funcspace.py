@@ -24,6 +24,7 @@ __all__ = [
     "NodeSet",
     "ModulusEnvelope",
     "uniform_grid",
+    "check_grid",
     "check_inside",
     "oscillation",
     "range_on_grid",
@@ -84,9 +85,14 @@ class NodeSet:
         return int(self.nodes.size)
 
 
-def uniform_grid(lo: float, hi: float, n: int = DEFAULT_GRID) -> NodeSet:
+def check_grid(n: int) -> None:
+    """The floor of every grid, and of every ``--grid`` flag: 2 points."""
     if n < 2:
-        raise ValueError("grid needs at least 2 points")
+        raise ValueError(f"grid needs at least 2 points, got {n}")
+
+
+def uniform_grid(lo: float, hi: float, n: int = DEFAULT_GRID) -> NodeSet:
+    check_grid(n)
     return NodeSet(np.linspace(lo, hi, n))
 
 

@@ -3,8 +3,10 @@
 Every family is realized as a :class:`PointFunctional`: the nodes the
 functional reads plus the weights it attaches to them at an evaluation point,
 both given by the family's one record in :data:`FAMILY`.
-Infinite families (Szasz, Baskakov) are truncated at a declared tail mass;
-weights are built by multiplicative ratio recurrences seeded at the
+Infinite families (Szasz, Baskakov) are truncated at a declared tail mass
+and their window weights divided by their sum, so every reader gets the same
+positive normalized functional; the tail mass is reported, not gated.
+Weights are built by multiplicative ratio recurrences seeded at the
 distribution mode, which stays in range where a plain start at k=0 would
 underflow (e.g. exp(-nx) for nx beyond ~745).
 """
@@ -384,10 +386,12 @@ class Family:
     k/n over a window cut at a declared tail mass.  ``weights(n, x,
     tail_eps)`` returns ``(w, tail, span)``: the weights at x, the tail mass
     they leave out, and the index range [lo, hi) of the node array that ``w``
-    covers when it covers only part of it (None: every node).  ``signed``
-    weights may be negative.  A ``one_point`` family takes a parameter a in
-    [0, 1] in place of x, has no degree (n = 1) and makes one sweep block.  A
-    family without weights (the mixed measure) has no point form.
+    covers when it covers only part of it (None: every node).  A truncated
+    family's window weights come divided by their sum; ``tail`` is the mass
+    of the untruncated operator that the window left out.  ``signed`` weights
+    may be negative.  A ``one_point`` family takes a parameter a in [0, 1] in
+    place of x, has no degree (n = 1) and makes one sweep block.  A family
+    without weights (the mixed measure) has no point form.
     """
 
     domain: tuple[float, float]
@@ -421,7 +425,8 @@ def _hat_weights(n: int, x: float, _tail_eps: float):
 
 
 def _window(w: np.ndarray, tail: float):
-    return w, tail, (0, w.size)
+    """A truncated window as a normalized functional: w divided by its sum."""
+    return w / np.sum(w), tail, (0, w.size)
 
 
 def _lagrange():
@@ -489,12 +494,14 @@ def sdelta_at(n: int, x: float) -> PointFunctional:
 
 
 def szasz_at(n: int, x: float, tail_eps: float = TAIL_EPS) -> PointFunctional:
-    """Truncated Poisson masses: nodes k/n, weights exp(-nx) (nx)^k / k!."""
+    """Poisson masses exp(-nx) (nx)^k / k! at nodes k/n, over the window that
+    leaves out at most tail_eps, divided by their sum."""
     return point_functional("szasz", n, x, tail_eps)
 
 
 def baskakov_at(n: int, x: float, tail_eps: float = TAIL_EPS) -> PointFunctional:
-    """Truncated negative-binomial masses: C(n+k-1,k) x^k / (1+x)^(n+k)."""
+    """Negative-binomial masses C(n+k-1,k) x^k / (1+x)^(n+k) at nodes k/n,
+    over the window that leaves out at most tail_eps, divided by their sum."""
     return point_functional("baskakov", n, x, tail_eps)
 
 

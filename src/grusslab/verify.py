@@ -24,7 +24,7 @@ from . import special
 # cached_envelope is not called here; it stays bound in this module, which
 # external profilers wrap along with the other bindings of the name
 from .funcspace import (CORPUS_NAMES, DEFAULT_GRID, DEFAULT_SEED, DEFAULT_XMAX,
-                        RealFunction, cached_envelope, standard_corpus)
+                        RealFunction, cached_envelope, standard_corpus, uniform_grid)
 
 __all__ = [
     "SuiteConfig",
@@ -140,12 +140,14 @@ class VerificationReport:
 
 def one_shot_bounds(spec: ops.OperatorSpec, x: float, f: RealFunction,
                     g: RealFunction, quad_n: int = SuiteConfig.quad_n) -> bnd.BoundResult:
-    """|T| and the rows the sweep gates for one operator, point and pair
-    (two_point and measure_example take their parameter a as x)."""
+    """|T| and the rows the sweep gates for one operator, point and pair.  x
+    must be admissible for every family; two_point and measure_example are
+    then evaluated at their parameter a in place of x."""
     op = spec.spec_string()
-    if spec.family in ops.ONE_POINT_FAMILIES:
-        x = spec.param
     fam = ops.FAMILY[spec.family]
+    fam.check_point(spec.family, x)
+    if fam.one_point:
+        x = spec.param
     if fam.signed or fam.weights is None:
         # signed functionals and the mixed measure, which has no point form,
         # take the sweep's own batch at one point
@@ -321,7 +323,7 @@ def conjecture_scan(n_max: int, grid: int = CONJECTURE_GRID) -> list[dict]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    xs = np.linspace(0.0, 1.0, grid)
+    xs = uniform_grid(0.0, 1.0, grid).nodes
     findings = []
     for n in range(1, n_max + 1):
         phi = _phi_grid(n, xs)
@@ -561,8 +563,8 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerificationReport:
             "report_only": [b.name for b in bnd.BOUNDS if not b.gated],
             "declared_slack": {
                 "base": "1e-9 * max(1, |lhs|, |rhs|)",
-                "truncated_families": "3 * tail * (osc_f + 1)(osc_g + 1), "
-                                      "tail = achieved truncation mass bound",
+                "truncated_families": "none: T and every rhs are taken on the "
+                                      "window weights divided by their sum",
                 "measure_quadrature": "(8 / quad_n)(1 + osc_f * osc_g)",
                 "classical_modulus_grid": "h (w_f + w_g) + 4 h^2, h = envelope "
                                           "grid step",

@@ -245,8 +245,6 @@ class TestBoundResult:
 def test_margin_allowance_budget():
     base = bnd.allowance(0.5, 1.0)
     assert base == pytest.approx(1e-9, abs=1e-12)
-    trunc = bnd.allowance(0.5, 1.0, bnd.truncation_slack(1e-12, 10.0, 10.0))
-    assert trunc > base
     quad = bnd.allowance(0.5, 1.0, bnd.quadrature_slack(2048, 1.0, 1.0))
     assert quad == pytest.approx(1e-9 + 16.0 / 2048.0, rel=1e-6)
 
@@ -292,7 +290,7 @@ def _references(family, n, x, L, f, g):
 @pytest.mark.parametrize("family", sorted(AGREEMENT_POINTS))
 def test_one_shot_agrees_with_scalar_references(family):
     """The table's one-shot rhs against the scalar (L, f, g) references, over
-    every corpus pair, to 1e-12 relative plus the declared truncation slack."""
+    every corpus pair, to 1e-12 relative."""
     corpus = standard_corpus(FAMILY_DOMAINS[family])
     degrees, xs = AGREEMENT_POINTS[family]
     for n in degrees:
@@ -305,13 +303,8 @@ def test_one_shot_agrees_with_scalar_references(family):
                     got = one_shot_bounds(spec, x, f, g).rhs
                     want = _references(family, n, x, L, f, g)
                     assert set(got) == set(want)
-                    slack = 0.0
-                    if family in bnd.TRUNCATED_FAMILIES:
-                        nodes = L.node_set
-                        slack = bnd.truncation_slack(
-                            L.tail_mass_bound, oscillation(f, nodes), oscillation(g, nodes))
                     for name, ref in want.items():
-                        tol = 1e-12 * max(abs(got[name]), abs(ref)) + slack
+                        tol = 1e-12 * max(abs(got[name]), abs(ref))
                         assert abs(got[name] - ref) <= tol, (family, n, x, f.name,
                                                              g.name, name, got[name], ref)
 
@@ -325,7 +318,7 @@ EPS = np.finfo(float).eps
 
 
 def _reference_cells(block):
-    """(x, v, w, tail, T, osc) one point at a time, each from the family's own
+    """(x, v, w, T, osc) one point at a time, each from the family's own
     functional: no padding, no shared node array."""
     fam, n = block.family, block.n
     funcs = block.funcs
@@ -337,28 +330,25 @@ def _reference_cells(block):
             mid = np.array([f.values(np.array([0.5]))[0] for f in funcs])
             lf = x * (vq @ sw) + (1.0 - x) * mid
             lfg = x * ((vq * sw) @ vq.T) + (1.0 - x) * np.outer(mid, mid)
-            yield x, None, None, None, lfg - np.outer(lf, lf), block.grid_osc
+            yield x, None, None, lfg - np.outer(lf, lf), block.grid_osc
             continue
         if fam == "sdelta":
             k, u = ops._sdelta_cell(n, x)
             nodes = (np.array([min(k, n) / n]) if u == 0.0
                      else np.array([k / n, (k + 1) / n]))
             w = np.array([1.0]) if u == 0.0 else np.array([1.0 - u, u])
-            tail = None
         else:
             L = ops.point_functional(fam, n, x, block.tail_eps)
             nodes, w = L.nodes, L.weights
-            tail = L.tail_mass_bound if fam in bnd.TRUNCATED_FAMILIES else None
-            if tail is not None:
-                w = w / w.sum()
         v = np.stack([f.values(nodes) for f in funcs])
         a = v @ w
         t = (v * w) @ v.T - np.outer(a, a)
-        yield x, v, w, tail, t, v.max(axis=1) - v.min(axis=1)
+        yield x, v, w, t, v.max(axis=1) - v.min(axis=1)
 
 
-def _reference_rows(block, x, v, w, tail, t, osc):
-    """name -> (lower, margin, allowance) at one point, written out per row."""
+def _reference_rows(block, x, v, w, t, osc):
+    """name -> (lower, margin, allowance) at one point, written out per row;
+    a truncated family's rows get the base allowance alone."""
     fam, n, h = block.family, block.n, block.envelope_step
     lhs, oo = np.abs(t), np.outer(osc, osc)
 
@@ -369,29 +359,28 @@ def _reference_rows(block, x, v, w, tail, t, osc):
     def modulus(e):
         return h * np.add.outer(e, e) + 4.0 * h * h
 
-    trunc = 0.0 if tail is None else 3.0 * tail * np.outer(osc + 1.0, osc + 1.0)
     quad = (8.0 / block.quad_n) * (1.0 + oo) if fam == "measure_example" else 0.0
     rhs, slack = {}, {}
     if w is not None:
         ssq = w @ w
         pair = (max(0.0, 0.5 * (np.abs(w).sum() ** 2 - ssq)) if fam == "lagrange_cheb"
                 else 0.5 * (1.0 - ssq))
-        rhs["new_osc"], slack["new_osc"] = pair * oo, trunc
+        rhs["new_osc"], slack["new_osc"] = pair * oo, 0.0
         if fam != "lagrange_cheb":
             dev = np.abs(v - (v @ w)[:, None]) @ w
             rhs["mercer"] = 0.5 * np.minimum(np.outer(osc, dev), np.outer(dev, osc))
-            slack["mercer"] = trunc
+            slack["mercer"] = 0.0
     if fam in ("bernstein", "sdelta", "szasz", "baskakov", "bbh", "king"):
         rhs["new_osc_family"] = bnd.specialized_rhs(fam, n, x) * oo
-        slack["new_osc_family"] = slack["lattice_family_vs_new"] = trunc
+        slack["new_osc_family"] = slack["lattice_family_vs_new"] = 0.0
     if fam in ("bernstein", "king"):
         rhs["new_osc_degree"], slack["new_osc_degree"] = n / (2.0 * (n + 1.0)) * oo, 0.0
     if fam in bnd.TRUNCATED_FAMILIES:
         rhs["new_osc_globalrange"] = pair * np.outer(block.grid_osc, block.grid_osc)
-        slack["new_osc_globalrange"] = trunc
+        slack["new_osc_globalrange"] = 0.0
     if fam != "lagrange_cheb":
-        rhs["gruss_quarter"], slack["gruss_quarter"] = 0.25 * oo, trunc + quad
-        slack["lattice_gruss_vs_mercer"] = trunc
+        rhs["gruss_quarter"], slack["gruss_quarter"] = 0.25 * oo, quad
+        slack["lattice_gruss_vs_mercer"] = 0.0
     if fam in ("bernstein", "sdelta", "king"):
         e = env(2.0 * np.sqrt(max(sp.second_moment(fam, n, x), 0.0)))
         rhs["classical_ws"], slack["classical_ws"] = 0.25 * np.outer(e, e), modulus(e)
@@ -447,7 +436,7 @@ def test_batches_match_per_cell_reference(family):
             # two routes through the Gram form differ by rounding in sums of
             # size-many terms of the scale of the products of node values
             size = 1 if v is None else v.shape[1]
-            scale = 1.0 + (np.abs(cell[4]).max() if v is None else np.abs(v).max(axis=1))
+            scale = 1.0 + (np.abs(cell[3]).max() if v is None else np.abs(v).max(axis=1))
             floor = 64.0 * EPS * size * np.multiply.outer(scale, scale)
             for name, (lower, margin, allow) in _reference_rows(block, *cell).items():
                 seen.add(name)
@@ -483,6 +472,50 @@ def test_truncated_batches_keep_byte_budget(family):
     assert len(sizes) <= {"szasz": 26, "baskakov": 61}[family], len(sizes)
 
 
+def test_truncated_cell_above_its_rhs_fails_the_gate():
+    """baskakov:1 at x = 50, (e2, sinpi): with new_osc's rhs set to |T| less
+    twice the base allowance, the sweep's gate counts one failure there.  A
+    tail-scaled slack, 5.8e-6 at this cell, would let it pass."""
+    from dataclasses import replace
+
+    from grusslab.verify import _Accum
+    corpus = standard_corpus(FAMILY_DOMAINS["baskakov"])
+    block = bnd.Block("baskakov", 1, [50.0], (corpus["e2"], corpus["sinpi"]))
+
+    def lowered(c):
+        rhs = np.array(np.broadcast_to(c.pair_coef * c.osc_outer, c.lhs.shape))
+        rhs[:, 0, 1] = c.lhs[:, 0, 1] - 2.0 * bnd.allowance(c.lhs[:, 0, 1], 0.0)
+        return rhs
+
+    block.rows = tuple(replace(row, rhs=lowered) if row.name == "new_osc" else row
+                       for row in block.rows)
+    acc = _Accum("baskakov", 1)
+    batch = next(block.batches())
+    for row, lower, margins, allow in block.evaluate(batch):
+        acc.update(row.name, margins[0], allow[0], lower[0], 50.0, block.names,
+                   asserted=row.gated)
+    assert acc.failures_total == 1, acc.failures
+    assert [(r["bound"], r["f"], r["g"]) for r in acc.failures] == [("new_osc", "e2", "sinpi")]
+
+
+@pytest.mark.parametrize("family", bnd.TRUNCATED_FAMILIES)
+def test_truncated_rows_carry_the_base_allowance_only(family):
+    """Every gated row of a szasz or baskakov block is allowed exactly the
+    base allowance: the window functional is normalized, so no slack is due."""
+    funcs = list(standard_corpus(FAMILY_DOMAINS[family]).values())
+    block = bnd.Block(family, 3, np.linspace(0.0, 50.0, 9), funcs)
+    gated = set()
+    for batch in block.batches():
+        rhs = {row.name: row.rhs(batch) for row in block.rows if row.lattice is None}
+        for row, lower, _, allow in block.evaluate(batch):
+            if row.gated:
+                gated.add(row.name)
+                upper = rhs[row.name if row.lattice is None else row.lattice[0]]
+                assert np.array_equal(allow, bnd.allowance(lower, upper)), row.name
+    assert gated == {"new_osc", "new_osc_family", "lattice_family_vs_new",
+                     "gruss_quarter", "mercer", "lattice_gruss_vs_mercer"}
+
+
 def test_wide_window_batch_forms_no_rows_by_nodes_array():
     """A one-point baskakov:64 batch at x = 50 reads 6,710 nodes over 10
     rows.  Forming it and reading L|f - Lf| and T(f, 1 - f) allocate less
@@ -490,12 +523,12 @@ def test_wide_window_batch_forms_no_rows_by_nodes_array():
     import tracemalloc
     funcs = list(standard_corpus(FAMILY_DOMAINS["baskakov"]).values())
     block = bnd.Block("baskakov", 64, [50.0], funcs)
-    w, tail, _ = ops.FAMILY["baskakov"].weights(64, 50.0, ops.TAIL_EPS)
+    w, _, _ = ops.FAMILY["baskakov"].weights(64, 50.0, ops.TAIL_EPS)
     v = np.stack([f.values(np.arange(w.size) / 64) for f in funcs])
     assert v.shape == (10, 6710)
     tracemalloc.start()
     try:
-        batch = bnd.Batch(block, 0, v, w[None, :], tail=np.array([tail]))
+        batch = bnd.Batch(block, 0, v, w[None, :])
         batch.mean_dev, batch.anti_t(1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

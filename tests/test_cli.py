@@ -174,6 +174,14 @@ class TestBoundsCommand:
         assert (code, out) == (1, "")
         assert err == f"error: {family} requires {want}\n"
 
+    @pytest.mark.parametrize("family", ONE_POINT_FAMILIES)
+    @pytest.mark.parametrize("x", ["nan", "inf", "1.5"])
+    def test_one_point_family_checks_its_x(self, family, x, capsys):
+        """The parameter a comes from --op, yet --x must be admissible too."""
+        code, out, err = run_cli(["bounds", "--op", f"{family}:1:0.5", "--x", x], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {family} requires x in [0, 1]\n"
+
     def test_spec_with_four_parts_fails(self, capsys):
         code, out, err = run_cli(["bounds", "--op", "bernstein:1:2:3"], capsys)
         assert (code, out) == (1, "")
@@ -314,6 +322,22 @@ class TestConjecturesCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 6
         assert all(float(r["min_gap_to_half"]) >= -1e-12 for r in rows)
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+@pytest.mark.parametrize("argv", [["special", "--fn", "phi"], ["lagrange", "--n", "3"],
+                                  ["conjectures"]])
+def test_grid_below_two_fails_before_any_work(argv, grid, capsys, monkeypatch):
+    from grusslab import lagrange, special, verify
+
+    def reached(*_args):
+        raise AssertionError("a table row was computed")
+    monkeypatch.setattr(special, "phi_bernstein", reached)
+    monkeypatch.setattr(lagrange, "lebesgue_function", reached)
+    monkeypatch.setattr(verify, "_phi_grid", reached)
+    code, out, err = run_cli(argv + ["--grid", grid], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: grid needs at least 2 points, got {grid}\n"
 
 
 class TestSharpnessCommand:
@@ -691,3 +715,16 @@ def test_optimised_python_gives_the_same_report(tmp_path):
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["pass"] is True
+
+
+def test_optimised_python_keeps_the_argument_checks():
+    """Under `python -O` a one-point family's bad --x and a --grid below 2
+    still exit 1 with their error line."""
+    env = _python_env()
+    for argv, err in ((["bounds", "--op", "two_point:1:0.5", "--x", "nan"],
+                       "error: two_point requires x in [0, 1]\n"),
+                      (["conjectures", "--grid", "1"],
+                       "error: grid needs at least 2 points, got 1\n")):
+        proc = subprocess.run([sys.executable, "-O", "-m", "grusslab.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
