@@ -195,9 +195,12 @@ class Batch:
 
     @functools.cached_property
     def family_coef(self) -> np.ndarray:
-        """The per-family closed-form coefficient at each x."""
+        """The per-family closed-form coefficient at each x.  Only baskakov's
+        depends on x; every other family's is taken once per batch."""
         fam, n = self.block.family, self.block.n
-        return _per_x([specialized_rhs(fam, n, float(x)) for x in self.xs])
+        if fam == "baskakov":
+            return _per_x([specialized_rhs(fam, n, float(x)) for x in self.xs])
+        return np.full((len(self.xs), 1, 1), specialized_rhs(fam, n))
 
     @functools.cached_property
     def env_moment(self) -> np.ndarray:

@@ -125,6 +125,8 @@ _SPECIAL_TABLE = {
 def _cmd_special(args) -> int:
     if not math.isfinite(args.xmax):
         raise ValueError(f"xmax must be finite, got {args.xmax}")
+    if args.xmax <= 0.0:
+        raise ValueError(f"xmax must be positive, got {args.xmax:g}")
     check_grid(args.grid)
     if args.fn == "second_moment":
         if not args.family:

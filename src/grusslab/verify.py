@@ -24,7 +24,8 @@ from . import special
 # cached_envelope is not called here; it stays bound in this module, which
 # external profilers wrap along with the other bindings of the name
 from .funcspace import (CORPUS_NAMES, DEFAULT_GRID, DEFAULT_SEED, DEFAULT_XMAX,
-                        RealFunction, cached_envelope, standard_corpus, uniform_grid)
+                        RealFunction, cached_envelope, check_inside, standard_corpus,
+                        uniform_grid)
 
 __all__ = [
     "SuiteConfig",
@@ -161,6 +162,27 @@ def one_shot_bounds(spec: ops.OperatorSpec, x: float, f: RealFunction,
 # sweep internals
 
 
+class _RowMargins:
+    """One table row's (batch, rows, rows) margins over a batch, reduced per
+    x in one array pass: each x's flat C-order argmin and its minimum, and for
+    a gated row the failure mask and its count per x.  The per-x values are
+    lists, which :meth:`_Accum.update` reads without a numpy call."""
+
+    def __init__(self, row: bnd.Bound, lower: np.ndarray, margins: np.ndarray,
+                 allow: np.ndarray):
+        self.bound = row.name
+        self.lower, self.margins, self.allow = lower, margins, allow
+        flat = margins.reshape(len(margins), -1)
+        self.size = flat.shape[1]
+        # argmin stops at the first NaN and min returns it: both name one cell
+        self.argmin = flat.argmin(axis=1).tolist()
+        self.min = flat.min(axis=1).tolist()
+        self.bad = self.bad_count = None
+        if row.gated:
+            self.bad = ~((margins + allow >= 0.0) & np.isfinite(margins))
+            self.bad_count = self.bad.reshape(len(margins), -1).sum(axis=1).tolist()
+
+
 class _Accum:
     """Worst margins, failures, sign statistics and the error, if any, of one
     sweep block."""
@@ -178,41 +200,49 @@ class _Accum:
         self.anti: tuple[float, float] | None = None
         self.error: dict | None = None
 
-    def update(self, bound: str, margins: np.ndarray, allow: np.ndarray,
-               lhs: np.ndarray, x: float, names: tuple[str, ...],
-               asserted: bool = True) -> None:
-        self.checks += margins.size
-        i, j = divmod(int(margins.argmin()), margins.shape[1])
-        m = float(margins[i, j])
-        cur = self.worst.get(bound)
+    def update(self, row: _RowMargins, b: int, x: float,
+               names: tuple[str, ...]) -> None:
+        """Fold one table row at the batch's b-th point x into the block.
+
+        The row arrives reduced per x (:class:`_RowMargins`); its arrays are
+        indexed only for a new worst margin or a failure.  Called once per
+        (bound, x), in x order and then table order, so the worst margin
+        keeps the earliest x, then f, then g, and the failure samples keep
+        that order too.
+        """
+        self.checks += row.size
+        m = row.min[b]
+        cur = self.worst.get(row.bound)
         # a non-finite margin (argmin stops at a NaN) fails below; it never
         # stands as the worst margin, which the report must carry as a number
         if math.isfinite(m) and (cur is None or m < cur["margin"]):
-            self.worst[bound] = {
+            i, j = divmod(row.argmin[b], row.margins.shape[-1])
+            lhs = float(row.lower[b, i, j])
+            self.worst[row.bound] = {
                 "margin": m,
                 "operator": self.family,
                 "n": self.n,
                 "x": float(x),
                 "f": names[i],
                 "g": names[j],
-                "lhs": float(lhs[i, j]),
-                "rhs": float(lhs[i, j] + m),
+                "lhs": lhs,
+                "rhs": lhs + m,
             }
-        if asserted:
+        if row.bad_count is not None and row.bad_count[b]:
             # a non-finite lhs, rhs or margin fails: it leaves a non-finite margin
-            bad = ~((margins + allow >= 0.0) & np.isfinite(margins))
-            if bad.any():
-                for i, j in zip(*np.nonzero(bad)):
+            self.failures_total += row.bad_count[b]
+            if len(self.failures) < FAILURE_SAMPLES:
+                lower, margins, allow = row.lower[b], row.margins[b], row.allow[b]
+                for i, j in zip(*np.nonzero(row.bad[b])):
                     if len(self.failures) >= FAILURE_SAMPLES:
                         break
                     self.failures.append({
-                        "bound": bound, "operator": self.family, "n": self.n,
+                        "bound": row.bound, "operator": self.family, "n": self.n,
                         "x": float(x), "f": names[int(i)], "g": names[int(j)],
-                        "lhs": _json_number(lhs[i, j]),
+                        "lhs": _json_number(lower[i, j]),
                         "margin": _json_number(margins[i, j]),
                         "allowance": _json_number(allow[i, j]),
                     })
-                self.failures_total += int(np.sum(bad))
 
     def sign_stats(self, xs: np.ndarray, t_mat: np.ndarray, t_anti: np.ndarray,
                    names: tuple[str, ...]) -> None:
@@ -279,10 +309,12 @@ def _sweep_block(family: str, n: int, cfg: SuiteConfig, corpus,
                  names: tuple[str, ...]) -> _Accum:
     """Every row of the bound table over every x of one (family, n) block.
 
-    Each batch of x is evaluated row by row; the margins are then taken into
-    the accumulator per x and row, in that order, so its tie-breaks and
-    failure samples do not depend on how the x are batched.  An exception is
-    kept on the accumulator with the x range of the batch it came from.
+    Each batch of x is evaluated row by row, and each row's margins are
+    reduced once over the whole batch (:class:`_RowMargins`).  They are then
+    folded into the accumulator per x and row, in that order, so its
+    tie-breaks and failure samples do not depend on how the x are batched.
+    An exception is kept on the accumulator with the x range of the batch it
+    came from.
     """
     acc = _Accum(family, n)
     block = None
@@ -294,13 +326,11 @@ def _sweep_block(family: str, n: int, cfg: SuiteConfig, corpus,
         block = bnd.Block(family, n, _x_grid(funcs[0], cfg), funcs, grid_n=cfg.grid_n,
                           quad_n=cfg.quad_n, tail_eps=cfg.tail_eps)
         for batch in block.batches():
-            rows = [(row.name, row.gated, lower, margins, allow)
-                    for row, lower, margins, allow in block.evaluate(batch)]
+            rows = [_RowMargins(*evaluated) for evaluated in block.evaluate(batch)]
             acc.cells += batch.lhs.size
-            for b, x in enumerate(batch.xs):
-                for name, gated, lower, margins, allow in rows:
-                    acc.update(name, margins[b], allow[b], lower[b], x, names,
-                               asserted=gated)
+            for b, x in enumerate(batch.xs.tolist()):
+                for row in rows:
+                    acc.update(row, b, x, names)
             if e1_row is not None:
                 acc.sign_stats(batch.xs, batch.t, batch.anti_t(e1_row), names)
     except Exception as exc:  # recorded, not fatal
@@ -418,6 +448,13 @@ def equality_holds(row: dict) -> bool:
 
 
 def _identity_suite(cfg: SuiteConfig, corpora) -> dict:
+    """T two ways at five sample points per exact (family, degree): as a Gram
+    matrix ``L(f g) - L(f) L(g)`` over every corpus pair at once, and as the
+    pair sum :func:`operators.pairwise_identity`, one call per pair.  The
+    Gram matrix is formed here from the functional's node values, apart from
+    the sweep's :class:`bounds.Batch`, so the cross-check does not share its
+    code; the domain check of :func:`operators.chebyshev_T` is kept, once per
+    functional and corpus member."""
     names = cfg.functions
     worst = {"tol_ratio": 0.0}
     worst_ratio = 0.0
@@ -434,11 +471,17 @@ def _identity_suite(cfg: SuiteConfig, corpora) -> dict:
         for n in _degrees(family, cfg):
             for x in sample:
                 L = ops.point_functional(family, n, float(x), cfg.tail_eps)
+                w = L.weights
+                lo, hi = L.nodes.min(), L.nodes.max()
+                for f in funcs:
+                    check_inside(f, lo, hi)
                 fv = np.stack([f.values(L.nodes) for f in funcs])
-                scale_f = 1.0 + np.max(np.abs(fv), axis=1)
+                a = fv @ w
+                gram = ((fv * w) @ fv.T - np.outer(a, a)).tolist()
+                scale_f = (1.0 + np.max(np.abs(fv), axis=1)).tolist()
                 for i, f in enumerate(funcs):
                     for j, g in enumerate(funcs):
-                        t1 = ops.chebyshev_T(L, f, g)
+                        t1 = gram[i][j]
                         t2 = ops.pairwise_identity(L, f, g)
                         # rounding floor: both routes sum ~size terms of this scale
                         floor = 256.0 * eps * scale_f[i] * scale_f[j]

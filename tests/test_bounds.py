@@ -478,7 +478,7 @@ def test_truncated_cell_above_its_rhs_fails_the_gate():
     tail-scaled slack, 5.8e-6 at this cell, would let it pass."""
     from dataclasses import replace
 
-    from grusslab.verify import _Accum
+    from grusslab.verify import _Accum, _RowMargins
     corpus = standard_corpus(FAMILY_DOMAINS["baskakov"])
     block = bnd.Block("baskakov", 1, [50.0], (corpus["e2"], corpus["sinpi"]))
 
@@ -491,9 +491,8 @@ def test_truncated_cell_above_its_rhs_fails_the_gate():
                        for row in block.rows)
     acc = _Accum("baskakov", 1)
     batch = next(block.batches())
-    for row, lower, margins, allow in block.evaluate(batch):
-        acc.update(row.name, margins[0], allow[0], lower[0], 50.0, block.names,
-                   asserted=row.gated)
+    for evaluated in block.evaluate(batch):
+        acc.update(_RowMargins(*evaluated), 0, 50.0, block.names)
     assert acc.failures_total == 1, acc.failures
     assert [(r["bound"], r["f"], r["g"]) for r in acc.failures] == [("new_osc", "e2", "sinpi")]
 

@@ -279,6 +279,20 @@ class TestSpecialCommand:
         assert (code, out) == (1, "")
         assert err == f"error: xmax must be finite, got {xmax}\n"
 
+    @pytest.mark.parametrize("xmax,shown", [("0", "0"), ("-1", "-1")])
+    def test_non_positive_xmax_fails_before_any_work(self, xmax, shown, capsys,
+                                                     monkeypatch):
+        # x = 0 alone, --grid times over, is no table of a [0, inf) function
+        from grusslab import special
+
+        def reached(*_args):
+            raise AssertionError("a special function ran")
+        monkeypatch.setattr(special, "sigma_szasz", reached)
+        code, out, err = run_cli(["special", "--fn", "sigma", "--xmax", xmax,
+                                  "--grid", "3"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: xmax must be positive, got {shown}\n"
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["special", "--fn", "theta", "--n", "3", "--grid", "9"]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from grusslab import operators as ops
-from grusslab.verify import (SuiteConfig, conjecture_scan, run_suite,
+from grusslab.verify import (FAMILY_DOMAINS, SuiteConfig, conjecture_scan, run_suite,
                              sharpness_suite)
 
 FAST = dict(degrees=(1, 2, 4), x_grid=17, grid_n=201, conjecture_nmax=6, quad_n=256)
@@ -147,6 +147,115 @@ class TestAcrossCalls:
         rep = run_suite(SuiteConfig(**SMALL))
         assert calls["pair"] == rep.suites["identity_equivalence"]["checks"] > 0
         assert calls["update"] * 100 == rep.suites["bound_sweep"]["margin_checks"] > 0
+
+
+def _halved_new_osc():
+    """The bound table with new_osc's rhs halved: |T| then exceeds it in
+    many cells of the bernstein and sdelta blocks."""
+    import dataclasses
+
+    from grusslab import bounds as bnd
+    return tuple(dataclasses.replace(b, rhs=lambda c, rhs=b.rhs: 0.5 * rhs(c))
+                 if b.name == "new_osc" else b for b in bnd.BOUNDS)
+
+
+class TestBatchIndependence:
+    CFG = dict(families=("bernstein", "sdelta", "szasz", "baskakov", "lagrange_cheb"),
+               degrees=(1, 3), x_grid=17, grid_n=101, conjecture_nmax=2)
+
+    def test_report_does_not_depend_on_batch_size(self, monkeypatch):
+        # with new_osc's rhs halved, failures exceed FAILURE_SAMPLES and cross
+        # batch boundaries.  T is a product over (batch, nodes) arrays whose
+        # rounding follows the batch's shape, so the worst margins, which sit
+        # at rounding level where rhs = 0, may move to another witness; they
+        # agree within the base allowance, and all else is the same
+        from grusslab import bounds as bnd
+        from grusslab import verify
+        monkeypatch.setattr(bnd, "BOUNDS", _halved_new_osc())
+        cfg = SuiteConfig(**self.CFG)
+        reports = []
+        for points in (1, 3, bnd.BATCH_POINTS):
+            monkeypatch.setattr(bnd, "BATCH_POINTS", points)
+            reports.append(json.loads(run_suite(cfg).to_json()))
+        worst = []
+        for rep in reports:
+            sweep = rep["suites"]["bound_sweep"]
+            worst.append({(fam, b): w["margin"] for fam, rows in
+                          sweep.pop("per_family_worst").items() for b, w in rows.items()})
+            sweep.pop("worst_margins")
+        assert reports[0] == reports[1] == reports[2]
+        for other in worst[1:]:
+            assert other.keys() == worst[0].keys()
+            for key, m in worst[0].items():
+                assert abs(other[key] - m) <= 1e-9 * max(1.0, abs(m)), key
+
+        sweep = reports[0]["suites"]["bound_sweep"]
+        samples = sweep["failure_samples"]
+        assert sweep["failures"] > len(samples) == verify.FAILURE_SAMPLES
+        blocks = [(fam, n) for fam in cfg.families for n in cfg.degrees]
+        table = [b.name for b in bnd.BOUNDS]
+        keys = [(blocks.index((s["operator"], s["n"])), s["x"], table.index(s["bound"]))
+                for s in samples]
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("family", ["bernstein", "sdelta"])
+    def test_fold_does_not_depend_on_batch_size(self, family, monkeypatch):
+        # the same evaluated margins folded whole and in runs of 1 and 3
+        # points give the same worst margins, failures and samples; every
+        # failure is kept, so the samples cross the runs' boundaries
+        import numpy as np
+
+        from grusslab import bounds as bnd
+        from grusslab import funcspace, verify
+        monkeypatch.setattr(bnd, "BOUNDS", _halved_new_osc())
+        monkeypatch.setattr(verify, "FAILURE_SAMPLES", 10 ** 6)
+        funcs = list(funcspace.standard_corpus(FAMILY_DOMAINS[family]).values())
+        xs = np.linspace(*funcs[0].interval, 17)
+        block = bnd.Block(family, 3, xs, funcs)
+        evaluated = [(batch, list(block.evaluate(batch))) for batch in block.batches()]
+
+        def fold(size):
+            acc = verify._Accum(family, 3)
+            for batch, rows in evaluated:
+                for lo in range(0, len(batch.xs), size):
+                    part = slice(lo, lo + size)
+                    reduced = [verify._RowMargins(row, lower[part], margins[part],
+                                                  allow[part])
+                               for row, lower, margins, allow in rows]
+                    for b, x in enumerate(batch.xs[part]):
+                        for row in reduced:
+                            acc.update(row, b, x, block.names)
+            return acc.worst, acc.failures, acc.failures_total, acc.checks
+
+        whole = fold(len(xs))
+        assert whole[2] == len(whole[1]) > len({s["x"] for s in whole[1]}) > 1
+        assert fold(1) == whole
+        assert fold(3) == whole
+        table = [b.name for b in bnd.BOUNDS]
+        keys = [(s["x"], table.index(s["bound"])) for s in whole[1]]
+        assert keys == sorted(keys)
+
+
+class TestIdentityGram:
+    def test_witness_keeps_its_orientation_and_value(self, monkeypatch):
+        # a pair sum off by 1e-6 for the ordered pair (e2, sinpi) alone fails
+        # the suite there: the Gram matrix is read as T(f, g), not T(g, f)
+        from grusslab import funcspace
+        pair_sum = ops.pairwise_identity
+
+        def perturbed(L, f, g):
+            off = 1e-6 if (f.name, g.name) == ("e2", "sinpi") else 0.0
+            return pair_sum(L, f, g) + off
+        monkeypatch.setattr(ops, "pairwise_identity", perturbed)
+        cfg = SuiteConfig(families=("bernstein", "king", "lagrange_cheb"), **SMALL)
+        ident = run_suite(cfg).suites["identity_equivalence"]
+        assert not ident["pass"]
+        worst = ident["worst"]
+        assert (worst["f"], worst["g"]) == ("e2", "sinpi")
+        corpus = funcspace.standard_corpus(FAMILY_DOMAINS[worst["operator"]])
+        L = ops.point_functional(worst["operator"], worst["n"], worst["x"])
+        expected = ops.chebyshev_T(L, corpus["e2"], corpus["sinpi"])
+        assert worst["chebyshev_T"] == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 class TestConjectures:
