@@ -62,10 +62,6 @@ BATCH_BYTES = 256 * 1024
 #: system after each batch and the next batch faults in again page by page
 BATCH_POINTS = 64
 
-#: families whose functionals are cut at a declared tail mass
-TRUNCATED_FAMILIES = tuple(name for name, fam in ops.FAMILY.items() if fam.truncated)
-
-
 @dataclass(frozen=True)
 class BoundResult:
     """One (operator, f, g, x) evaluation: |T| against every applicable bound."""
@@ -195,17 +191,17 @@ class Batch:
 
     @functools.cached_property
     def family_coef(self) -> np.ndarray:
-        """The per-family closed-form coefficient at each x.  Only baskakov's
-        depends on x; every other family's is taken once per batch."""
-        fam, n = self.block.family, self.block.n
-        if fam == "baskakov":
-            return _per_x([specialized_rhs(fam, n, float(x)) for x in self.xs])
-        return np.full((len(self.xs), 1, 1), specialized_rhs(fam, n))
+        """The family's closed-form coefficient at each x: its value at x
+        where the record states one, else its x-free one, taken once."""
+        fam, n = self.block.fam, self.block.n
+        if fam.coef_at is not None:
+            return _per_x([fam.coef_at(n, float(x)) for x in self.xs])
+        return np.full((len(self.xs), 1, 1), fam.coef(n))
 
     @functools.cached_property
     def env_moment(self) -> np.ndarray:
         """Envelopes at the second-moment step 2 sqrt(M2(x)), per x and row."""
-        m2 = np.array([special.second_moment(self.block.family, self.block.n, float(x))
+        m2 = np.array([self.block.fam.second_moment(self.block.n, float(x))
                        for x in self.xs])
         return self.block.envelopes(2.0 * np.sqrt(np.maximum(m2, 0.0))).T
 
@@ -233,11 +229,11 @@ class Block:
         self.funcs = tuple(funcs)
         self.names = tuple(f.name for f in self.funcs)
         self.grid_n, self.quad_n, self.tail_eps = grid_n, quad_n, tail_eps
-        self.rows = tuple(b for b in BOUNDS if family in b.families)
-        if not self.rows:
+        self.fam = ops.FAMILY.get(family)
+        if self.fam is None:
             raise ValueError(f"unknown family {family!r}")
-        self.fam = ops.FAMILY[family]
         self.fam.check_point(family, self.xs)
+        self.rows = tuple(b for b in BOUNDS if b.covers(family, self.fam))
         lo, hi = self.funcs[0].interval
         self.envelope_step = (hi - lo) / (grid_n - 1)
         #: (first x, last x) of the batch being formed or evaluated
@@ -250,9 +246,8 @@ class Block:
 
     @functools.cached_property
     def env_uniform(self) -> np.ndarray:
-        """Envelopes at the x-free step: 1/sqrt(n) (bernstein), 1/n (sdelta)."""
-        return self.envelopes(1.0 / math.sqrt(self.n) if self.family == "bernstein"
-                              else 1.0 / self.n)
+        """Envelopes at the family's x-free classical step."""
+        return self.envelopes(self.fam.ws_step(self.n))
 
     @functools.cached_property
     def env_two(self) -> np.ndarray:
@@ -365,8 +360,7 @@ class Block:
         shape = batch.lhs.shape
         rhs = {row.name: float(np.broadcast_to(row.rhs(batch), shape)[0, 0, 1])
                for row in self.rows
-               if row.gated and row.lattice is None
-               and self.family not in row.sweep_only}
+               if row.gated and row.lattice is None and not row.sweep_only(self.fam)}
         return BoundResult(operator=operator, n=self.n, x=float(batch.xs[0]), f=f,
                            g=g, lhs=float(batch.lhs[0, 0, 1]), rhs=rhs)
 
@@ -386,35 +380,41 @@ def evaluate_cell(operator: str, n: int, x: float, L: PointFunctional,
 
 @dataclass(frozen=True)
 class Bound:
-    """One row of the table: ``rhs`` maps a batch to (batch, rows, rows)
-    right-hand sides, or to an array that broadcasts to that shape, each
-    ``slack`` term to an extra allowance (0 where its source is absent).  A
-    ``lattice`` row compares the rhs of two earlier rows, (upper, lower), in
-    place of an rhs and |T|.  Rows not ``gated`` are recorded only.  ``bounds``
-    prints neither of these, nor rows of the ``sweep_only`` families.
-    """
+    """One row of the table: ``families`` names the families it is stated
+    for, or tests a family record for what the row reads.  ``rhs`` maps a
+    batch to (batch, rows, rows) right-hand sides, or to an array that
+    broadcasts to that shape, each ``slack`` term to an extra allowance (0
+    where its source is absent).  A ``lattice`` row compares the rhs of two
+    earlier rows, (upper, lower), in place of an rhs and |T|.  Rows not
+    ``gated`` are recorded only.  ``bounds`` prints neither of these, nor a
+    row whose ``sweep_only`` test the family's record passes."""
 
     name: str
-    families: tuple[str, ...]
+    families: tuple[str, ...] | Callable[[ops.Family], bool]
     rhs: Callable[[Batch], np.ndarray] | None = None
     slack: tuple[Callable[[Batch], object], ...] = ()
     gated: bool = True
     lattice: tuple[str, str] | None = None
-    sweep_only: tuple[str, ...] = ()
+    sweep_only: Callable[[ops.Family], bool] = lambda _fam: False
+
+    def covers(self, name: str, fam: ops.Family) -> bool:
+        """Whether the row applies to the family ``name`` with record ``fam``."""
+        if callable(self.families):
+            return self.families(fam)
+        return name in self.families
 
 
-def degree_coefficient(n: int) -> float:
-    """The degree-only majorant n/(2(n+1)) of the pointwise coefficient."""
-    return n / (2.0 * (n + 1.0))
+def _positive_point(fam: ops.Family) -> bool:
+    return fam.weights is not None and not fam.signed
 
 
 def _quadrature(c: Batch):
-    if c.block.family != "measure_example":
+    if c.block.fam.weights is not None:  # only the mixed measure has no point form
         return 0.0
     return quadrature_slack(c.block.quad_n, c.osc, c.osc)
 
 
-def _classical_ws(name: str, families: tuple[str, ...], env) -> Bound:
+def _classical_ws(name: str, families: Callable[[ops.Family], bool], env) -> Bound:
     """(1/4) w~(f; s) w~(g; s) with the modulus grid slack, ``env(c)`` giving
     the envelope values at the step s."""
     return Bound(name, families, lambda c: 0.25 * _col(env(c)) * _row(env(c)),
@@ -442,31 +442,29 @@ def _log_coef(log2_coef: float):
     return coef
 
 
-_POSITIVE_POINT = ("bernstein", "sdelta", "szasz", "baskakov", "bbh", "king",
-                   "two_point")
-_FAMILY_COEF = ("bernstein", "sdelta", "szasz", "baskakov", "bbh", "king")
-
 #: every right-hand side and slack term, in evaluation order
 BOUNDS = (
-    Bound("new_osc", _POSITIVE_POINT + ("lagrange_cheb",),
+    Bound("new_osc", lambda fam: fam.weights is not None,
           lambda c: c.pair_coef * c.osc_outer),
-    Bound("new_osc_family", _FAMILY_COEF, lambda c: c.family_coef * c.osc_outer),
-    Bound("lattice_family_vs_new", _FAMILY_COEF, lattice=("new_osc_family", "new_osc")),
+    Bound("new_osc_family", lambda fam: fam.coef is not None,
+          lambda c: c.family_coef * c.osc_outer),
+    Bound("lattice_family_vs_new", lambda fam: fam.coef is not None,
+          lattice=("new_osc_family", "new_osc")),
     Bound("new_osc_degree", ("bernstein", "king"),
-          lambda c: degree_coefficient(c.block.n) * c.osc_outer),
+          lambda c: ops.degree_coefficient(c.block.n) * c.osc_outer),
     # working-grid ranges are not a theorem for the unbounded corpus members
-    Bound("new_osc_globalrange", TRUNCATED_FAMILIES,
+    Bound("new_osc_globalrange", lambda fam: fam.truncated,
           lambda c: c.pair_coef * (_col(c.block.grid_osc) * _row(c.block.grid_osc)),
           gated=False),
-    Bound("gruss_quarter", _POSITIVE_POINT + ("measure_example",),
-          lambda c: 0.25 * c.osc_outer, (_quadrature,), sweep_only=("measure_example",)),
-    Bound("mercer", _POSITIVE_POINT,
+    Bound("gruss_quarter", lambda fam: not fam.signed, lambda c: 0.25 * c.osc_outer,
+          (_quadrature,), sweep_only=lambda fam: fam.weights is None),
+    Bound("mercer", _positive_point,
           lambda c: 0.5 * np.minimum(_col(c.osc) * _row(c.mean_dev),
                                      _col(c.mean_dev) * _row(c.osc))),
-    Bound("lattice_gruss_vs_mercer", _POSITIVE_POINT, lattice=("gruss_quarter", "mercer")),
-    _classical_ws("classical_ws", ("bernstein", "sdelta", "king"),
+    Bound("lattice_gruss_vs_mercer", _positive_point, lattice=("gruss_quarter", "mercer")),
+    _classical_ws("classical_ws", lambda fam: fam.second_moment is not None,
                   lambda c: c.env_moment),
-    _classical_ws("classical_ws_uniform", ("bernstein", "sdelta"),
+    _classical_ws("classical_ws_uniform", lambda fam: fam.ws_step is not None,
                   lambda c: c.block.env_uniform),
     _lagrange_form("classical_norm", lambda _n, lam: 0.25 * lam * (1.0 + lam)),
     _lagrange_form("classical_log", _log_coef(2.0 / math.pi ** 2)),
@@ -505,14 +503,10 @@ def mercer_bound(L: PointFunctional, f: RealFunction, g: RealFunction,
     return 0.5 * min((M - m) * dev_g, (P - p) * dev_f)
 
 
-_WS_FAMILIES = ("bernstein", "sdelta", "king")
-
-
 def classical_ws_bound(family: str, n: int, x: float, f: RealFunction,
                        g: RealFunction) -> float:
-    """Least-concave-majorant bound (1/4) w~(f; 2 sqrt(M2)) w~(g; 2 sqrt(M2))."""
-    if family not in _WS_FAMILIES:
-        raise ValueError(f"no second-moment form stated for family {family!r}")
+    """Least-concave-majorant bound (1/4) w~(f; 2 sqrt(M2)) w~(g; 2 sqrt(M2))
+    for a family with a closed-form second moment."""
     m2 = special.second_moment(family, n, x)
     s = 2.0 * math.sqrt(m2)
     wf = cached_envelope(f, DEFAULT_GRID).hull_value(s)
@@ -551,24 +545,16 @@ def new_bound_signed(L: PointFunctional, f: RealFunction, g: RealFunction) -> fl
 
 
 def specialized_rhs(family: str, n: int, x: float | None = None) -> float:
-    """Per-family closed-form coefficient multiplying osc(f) * osc(g).
+    """Per-family closed-form coefficient multiplying osc(f) * osc(g): the
+    record's value at x where it states one, else its x-free one.
 
     Majorizes the pointwise coefficient (1 - sum w^2)/2 at every admissible x,
-    for szasz and baskakov that of the window weights divided by their sum.
+    for a truncated family that of the window weights divided by their sum.
     """
-    if family == "bernstein" or family == "bbh":
-        return 0.5 * (1.0 - special.central_binom_scaled(n))
-    if family == "sdelta":
-        return 0.25
-    if family == "szasz":
-        return 0.5
-    if family == "baskakov":
-        if x is None:
-            return 0.5
-        return 0.5 * (1.0 - special.theta_baskakov(n, x))
-    if family == "king":
-        return 0.25 if n == 1 else degree_coefficient(n)
-    raise ValueError(f"no specialized oscillation coefficient for {family!r}")
+    fam = ops.FAMILY.get(family)
+    if fam is None or fam.coef is None:
+        raise ValueError(f"no specialized oscillation coefficient for {family!r}")
+    return fam.coef(n) if x is None or fam.coef_at is None else fam.coef_at(n, x)
 
 
 def node_ranges(L: PointFunctional, f: RealFunction, g: RealFunction):

@@ -20,7 +20,7 @@ from . import lagrange as lag
 from . import operators as ops
 from . import special
 from .funcspace import CORPUS_NAMES, check_grid, standard_corpus
-from .verify import (CONJECTURE_GRID, FAMILY_DOMAINS, SuiteConfig,
+from .verify import (CONJECTURE_GRID, SuiteConfig,
                      conjecture_scan, equality_holds, half_point_holds,
                      one_shot_bounds, run_suite, sharpness_suite)
 
@@ -171,7 +171,7 @@ def _cmd_lagrange(args) -> int:
 
 def _cmd_bounds(args) -> int:
     spec = ops.parse_operator_spec(args.op)
-    corpus = standard_corpus(FAMILY_DOMAINS[spec.family])
+    corpus = standard_corpus(ops.FAMILY[spec.family].domain)
     rec = one_shot_bounds(spec, args.x, corpus[args.f], corpus[args.g], args.quad_n)
     _write_out(json.dumps(rec.to_dict(), sort_keys=True, indent=2) + "\n", args.out)
     return 0

@@ -42,9 +42,6 @@ RIVLIN_HI = 1.0
 #: points of the [-1, 1] grid that :func:`hermann_ratio` minimises over
 HERMANN_GRID = 257
 
-#: points of the [-1, 1] grid that :func:`lebesgue_constant` starts from
-LEBESGUE_GRID = 4097
-
 
 @dataclass(frozen=True)
 class ChebyshevGrid:
@@ -107,34 +104,15 @@ def lebesgue_function(n: int, x: float) -> float:
 
 @functools.lru_cache(maxsize=512)
 def lebesgue_constant(n: int) -> float:
-    """max of Lambda_n over [-1, 1]: coarse grid plus golden-section refinement."""
+    """max of Lambda_n over [-1, 1], attained at x = +-1: the closed form
+    (1/n) sum_{k=1..n} cot((2k - 1) pi / (4n)), its terms summed exactly.
+    Lambda_1 is 1 everywhere."""
+    if int(n) != n or n < 1:
+        raise ValueError("need a positive number of nodes")
     if n == 1:
         return 1.0
-    xs = np.linspace(-1.0, 1.0, LEBESGUE_GRID)
-    r, hit = _bary_terms(n, xs)
-    lam = np.abs(r).sum(axis=1) / np.abs(r.sum(axis=1))
-    lam[hit.any(axis=1)] = 1.0
-    i = int(np.argmax(lam))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, LEBESGUE_GRID - 1)]
-    best = float(lam[i])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = lebesgue_function(n, c), lebesgue_function(n, d)
-    for _ in range(90):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = lebesgue_function(n, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = lebesgue_function(n, d)
-        if b - a < 1e-13:
-            break
-    return max(best, fc, fd)
+    theta = (2.0 * np.arange(1, n + 1) - 1.0) * (math.pi / (4.0 * n))
+    return math.fsum(1.0 / np.tan(theta)) / n
 
 
 def pair_product_sum(n: int, x: float) -> float:
@@ -185,14 +163,13 @@ def lagrange_classical_bound(n: int, f: RealFunction,
     wg = cached_envelope(g, DEFAULT_GRID).hull_value(2.0)
     lam = lebesgue_constant(n)
     ln = math.log(n)
-    out = {
+    return {
         "classical_norm": 0.25 * lam * (1.0 + lam) * wf * wg,
         "classical_log": 0.5 * (1.0 + (3.0 / math.pi) * ln
                                 + (2.0 / math.pi ** 2) * ln * ln) * wf * wg,
         "classical_log_stated": 0.5 * (1.0 + (3.0 / math.pi) * ln
                                        + (2.0 / math.pi) * ln * ln) * wf * wg,
     }
-    return out
 
 
 def hermann_ratio(n: int) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import importlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,10 +31,10 @@ __all__ = [
     "Family",
     "FAMILY",
     "FAMILIES",
-    "ONE_POINT_FAMILIES",
     "TAIL_EPS",
     "QUAD_N",
     "point_functional",
+    "degree_coefficient",
     "bernstein_at",
     "sdelta_at",
     "szasz_at",
@@ -114,11 +115,12 @@ class OperatorSpec:
     param: float | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        fam = FAMILY.get(self.family)
+        if fam is None:
             raise ValueError(f"unknown operator family {self.family!r}")
         if self.n < 1:
             raise ValueError("degree n must be >= 1")
-        if self.family in ONE_POINT_FAMILIES:
+        if fam.one_point:
             if self.n != 1:
                 raise ValueError(f"{self.family} has no degree, got n = {self.n}")
             if self.param is None or not 0.0 <= self.param <= 1.0:
@@ -392,6 +394,11 @@ class Family:
     may be negative.  A ``one_point`` family takes a parameter a in [0, 1] in
     place of x, has no degree (n = 1) and makes one sweep block.  A family
     without weights (the mixed measure) has no point form.
+
+    The bound table reads closed forms, None where none is stated: ``coef(n)``
+    majorizes (1 - sum w^2)/2 at every x, ``coef_at(n, x)`` at x where that
+    depends on x; ``second_moment(n, x)`` is L((e1 - x)^2); ``ws_step(n)``,
+    the classical x-free step, is at least 2 sqrt(second_moment) at every x.
     """
 
     domain: tuple[float, float]
@@ -399,6 +406,10 @@ class Family:
     weights: Callable[[int, float, float], tuple] | None = None
     signed: bool = False
     one_point: bool = False
+    coef: Callable[[int], float] | None = None
+    coef_at: Callable[[int, float], float] | None = None
+    second_moment: Callable[[int, float], float] | None = None
+    ws_step: Callable[[int], float] | None = None
 
     @property
     def truncated(self) -> bool:
@@ -410,6 +421,11 @@ class Family:
         lo, hi = self.domain
         if not np.all(np.isfinite(x) & (x >= lo) & (x <= hi)):
             raise ValueError(f"{name} requires x in [{lo:g}, {hi:g}]")
+
+
+def degree_coefficient(n: int) -> float:
+    """The degree-only majorant n/(2(n+1)) of the pointwise coefficient."""
+    return n / (2.0 * (n + 1.0))
 
 
 def _unit_nodes(n: int) -> np.ndarray:
@@ -429,39 +445,67 @@ def _window(w: np.ndarray, tail: float):
     return w / np.sum(w), tail, (0, w.size)
 
 
-def _lagrange():
-    """The lagrange module, reached at call time: it imports this one."""
-    from . import lagrange
-    return lagrange
+def _late(module: str):
+    """A sibling module, reached at call time: it imports this one."""
+    return importlib.import_module(f"{__package__}.{module}")
+
+
+def _binomial_coef(n: int) -> float:
+    """(1 - phi_n(1/2))/2, phi_n's minimum being at the half point."""
+    return 0.5 * (1.0 - _late("special").central_binom_scaled(n))
+
+
+def _negbin_coef(n: int, x: float) -> float:
+    """(1 - theta_n(x))/2, theta_n the sum of squared Baskakov weights at x."""
+    return 0.5 * (1.0 - _late("special").theta_baskakov(n, x))
+
+
+def _hat_moment(n: int, x: float) -> float:
+    """u(1 - u)/n^2 at x = (k + u)/n."""
+    _, u = _sdelta_cell(n, x)
+    return u * (1.0 - u) / (n * n)
 
 
 _UNIT, _RAY = (0.0, 1.0), (0.0, math.inf)
 
-#: every operator family, in the sweep's block order.  The weight builders are
-#: looked up when called, so that a profiler can wrap them in this module
+#: every operator family, in the sweep's block order.  The weight builders and
+#: special functions are looked up when called, so that a profiler can wrap
+#: them in their modules
 FAMILY = {
     "bernstein": Family(_UNIT, _unit_nodes,
-                        lambda n, x, _eps: (_binomial_weights(n, x), 0.0, None)),
-    "sdelta": Family(_UNIT, _unit_nodes, _hat_weights),
+                        lambda n, x, _eps: (_binomial_weights(n, x), 0.0, None),
+                        coef=_binomial_coef,
+                        second_moment=lambda n, x: x * (1.0 - x) / n,
+                        ws_step=lambda n: 1.0 / math.sqrt(n)),
+    "sdelta": Family(_UNIT, _unit_nodes, _hat_weights, coef=lambda _n: 0.25,
+                     second_moment=_hat_moment, ws_step=lambda n: 1.0 / n),
     "king": Family(_UNIT, _unit_nodes,
-                   lambda n, x, _eps: (_binomial_weights(n, r_star(n, x)), 0.0, None)),
+                   lambda n, x, _eps: (_binomial_weights(n, r_star(n, x)), 0.0, None),
+                   coef=degree_coefficient,
+                   second_moment=lambda n, x: max(0.0, 2.0 * x * (x - r_star(n, x)))),
     "two_point": Family(_UNIT, lambda _n: np.array([0.0, 1.0]),
                         lambda _n, a, _eps: (np.array([1.0 - a, a]), 0.0, None),
                         one_point=True),
     "measure_example": Family(_UNIT, one_point=True),
     "szasz": Family(_RAY, None,
-                    lambda n, x, eps: _window(*_poisson_weights(n * x, eps))),
+                    lambda n, x, eps: _window(*_poisson_weights(n * x, eps)),
+                    coef=lambda _n: 0.5),
     "baskakov": Family(_RAY, None,
-                       lambda n, x, eps: _window(*_negbin_weights(n, x, eps))),
+                       lambda n, x, eps: _window(*_negbin_weights(n, x, eps)),
+                       coef=lambda _n: 0.5,
+                       coef_at=_negbin_coef),
     "bbh": Family(_RAY, lambda n: np.arange(n + 1) / (n + 1.0 - np.arange(n + 1)),
-                  lambda n, x, _eps: (_binomial_weights(n, x / (1.0 + x)), 0.0, None)),
-    "lagrange_cheb": Family((-1.0, 1.0), lambda n: _lagrange().chebyshev_grid(n).nodes,
-                            lambda n, x, _eps: (_lagrange().basis_weights(n, x), 0.0, None),
+                  lambda n, x, _eps: (_binomial_weights(n, x / (1.0 + x)), 0.0, None),
+                  coef=_binomial_coef),
+    "lagrange_cheb": Family((-1.0, 1.0),
+                            lambda n: _late("lagrange").chebyshev_grid(n).nodes,
+                            lambda n, x, _eps: (_late("lagrange").basis_weights(n, x),
+                                                0.0, None),
                             signed=True),
 }
 
+#: the shipped families' names; the program reads FAMILY when it is called
 FAMILIES = tuple(FAMILY)
-ONE_POINT_FAMILIES = tuple(name for name, fam in FAMILY.items() if fam.one_point)
 
 
 def point_functional(family: str, n: int, x: float,

@@ -2,7 +2,8 @@
 
 Sum-of-squared-weights functions for each family (phi, sigma, theta, psi,
 tau, the e2-reproducing variant), Legendre polynomials, the exponentially
-scaled Bessel I0, scaled central binomials and closed-form second moments.
+scaled Bessel I0 and scaled central binomials; ``second_moment`` reads the
+closed-form second moments off the family records.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from .operators import (_binomial_weights, _check_degree, _sdelta_cell,
+from .operators import (FAMILY, _binomial_weights, _check_degree, _sdelta_cell,
                         log_gamma, r_star)
 
 __all__ = [
@@ -211,19 +212,14 @@ def king_sumsq(n: int, x: float) -> float:
 
 
 def second_moment(family: str, n: int, x: float) -> float:
-    """Closed-form H((e1 - x)^2; x) for the families with a stated one."""
+    """Closed-form H((e1 - x)^2; x) for the families with a stated one, read
+    from the family's record."""
     _check_degree(n)
-    if family == "bernstein":
-        _check_unit(x)
-        return x * (1.0 - x) / n
-    if family == "sdelta":
-        _check_unit(x)
-        _, u = _sdelta_cell(n, x)
-        return u * (1.0 - u) / (n * n)
-    if family == "king":
-        _check_unit(x)
-        return max(0.0, 2.0 * x * (x - r_star(n, x)))
-    raise ValueError(f"no closed-form second moment for family {family!r}")
+    fam = FAMILY.get(family)
+    if fam is None or fam.second_moment is None:
+        raise ValueError(f"no closed-form second moment for family {family!r}")
+    fam.check_point(family, x)
+    return fam.second_moment(n, x)
 
 
 def _check_unit(x: float) -> float:

@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import bounds as bnd
 from . import lagrange as lag
@@ -36,14 +35,7 @@ __all__ = [
     "half_point_holds",
     "equality_holds",
     "one_shot_bounds",
-    "FAMILY_DOMAINS",
 ]
-
-FAMILY_DOMAINS = {name: fam.domain for name, fam in ops.FAMILY.items()}
-
-#: families whose functionals are exact: fixed nodes, no truncated tail
-EXACT_FAMILIES = tuple(name for name, fam in ops.FAMILY.items()
-                       if fam.nodes is not None)
 
 #: bound names each family must contribute to the sweep, written out apart
 #: from the bound table so that the coverage check does not check the table
@@ -86,7 +78,7 @@ class SuiteConfig:
     """Every setting of a verification run; each is a ``grusslab verify`` flag,
     and the flag defaults are these field defaults."""
 
-    families: tuple[str, ...] = tuple(FAMILY_DOMAINS)
+    families: tuple[str, ...] = ops.FAMILIES
     degrees: tuple[int, ...] = (1, 2, 3, 4, 8, 16, 32, 64)
     x_grid: int = 257
     functions: tuple[str, ...] = CORPUS_NAMES
@@ -110,7 +102,7 @@ class SuiteConfig:
                 raise ValueError(f"{name} must be at least {least}")
         if min(self.degrees) < 1:
             raise ValueError("every degree must be at least 1")
-        unknown = set(self.families) - set(FAMILY_DOMAINS)
+        unknown = set(self.families) - set(ops.FAMILY)
         if unknown:
             raise ValueError(f"unknown families: {sorted(unknown)}")
         unknown = set(self.functions) - set(CORPUS_NAMES)
@@ -297,7 +289,7 @@ def _json_number(v) -> float | str:
 
 
 def _degrees(family: str, cfg: SuiteConfig) -> tuple[int, ...]:
-    return (1,) if family in ops.ONE_POINT_FAMILIES else cfg.degrees
+    return (1,) if ops.FAMILY[family].one_point else cfg.degrees
 
 
 def _x_grid(f: RealFunction, cfg: SuiteConfig) -> np.ndarray:
@@ -462,9 +454,10 @@ def _identity_suite(cfg: SuiteConfig, corpora) -> dict:
     ok = True
     eps = np.finfo(float).eps
     for family in cfg.families:
-        if family not in EXACT_FAMILIES:
+        fam = ops.FAMILY[family]
+        if fam.nodes is None:  # exact functionals only: fixed nodes, no tail
             continue
-        corpus = corpora[FAMILY_DOMAINS[family]]
+        corpus = corpora[fam.domain]
         funcs = [corpus[nm] for nm in names]
         xs = _x_grid(funcs[0], cfg)
         sample = xs[:: max(1, (len(xs) - 1) // 4)]
@@ -505,10 +498,11 @@ def _identity_suite(cfg: SuiteConfig, corpora) -> dict:
 
 
 def _environment_stamp() -> dict:
+    from importlib import metadata  # imported here: only a report reads it
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": metadata.version("scipy"),
         "platform": sys.platform,
     }
 
@@ -518,7 +512,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerificationReport:
     cfg = cfg or SuiteConfig()
     corpora = {
         dom: standard_corpus(dom, cfg.seed, cfg.x_max)
-        for dom in {FAMILY_DOMAINS[f] for f in cfg.families}
+        for dom in {ops.FAMILY[f].domain for f in cfg.families}
     }
     names = cfg.functions
 
@@ -532,7 +526,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerificationReport:
     fam_seen, bound_seen = set(), set()
     blocks = [(family, n) for family in cfg.families for n in _degrees(family, cfg)]
     for family, n in blocks:
-        acc = _sweep_block(family, n, cfg, corpora[FAMILY_DOMAINS[family]], names)
+        acc = _sweep_block(family, n, cfg, corpora[ops.FAMILY[family].domain], names)
         if acc.error is not None:
             block_errors.append(acc.error)
             continue
@@ -589,8 +583,9 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerificationReport:
     conj = [{k: _json_number(v) if isinstance(v, float) else v for k, v in f.items()}
             for f in conj]
 
+    # the Rivlin rows go with the norm-form rows, which read ||L_n||
     rivlin = ([lag.rivlin_row(n) for n in cfg.degrees]
-              if "lagrange_cheb" in cfg.families else [])
+              if any("classical_norm" in FAMILY_BOUNDS[f] for f in cfg.families) else [])
 
     suites = {
         "bound_sweep": {

@@ -21,3 +21,14 @@ def test_every_traced_binding_resolves():
             if not callable(owner):
                 missing.append(f"{mod}.{attr}")
     assert missing == []
+
+
+def test_traced_caches_keep_cache_info():
+    """The tracer reads cache_info() of the envelope, Chebyshev-grid and
+    Lebesgue caches when it starts; a cache that loses it fails a traced run
+    at start-up."""
+    from grusslab import funcspace, lagrange
+    for fn in (funcspace.cached_envelope, lagrange.chebyshev_grid,
+               lagrange.lebesgue_constant):
+        assert callable(getattr(fn, "cache_info", None)), fn.__name__
+        fn.cache_info()

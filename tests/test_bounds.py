@@ -9,7 +9,10 @@ from grusslab import operators as ops
 from grusslab import special as sp
 from grusslab.funcspace import (NodeSet, oscillation, range_on_grid,
                                 standard_corpus, uniform_grid)
-from grusslab.verify import FAMILY_DOMAINS, one_shot_bounds
+from grusslab.verify import one_shot_bounds
+
+#: families whose functionals are cut at a declared tail mass
+TRUNCATED = tuple(name for name, fam in ops.FAMILY.items() if fam.truncated)
 
 
 class TestGrussQuarter:
@@ -291,7 +294,7 @@ def _references(family, n, x, L, f, g):
 def test_one_shot_agrees_with_scalar_references(family):
     """The table's one-shot rhs against the scalar (L, f, g) references, over
     every corpus pair, to 1e-12 relative."""
-    corpus = standard_corpus(FAMILY_DOMAINS[family])
+    corpus = standard_corpus(ops.FAMILY[family].domain)
     degrees, xs = AGREEMENT_POINTS[family]
     for n in degrees:
         for x in xs:
@@ -375,7 +378,7 @@ def _reference_rows(block, x, v, w, t, osc):
         slack["new_osc_family"] = slack["lattice_family_vs_new"] = 0.0
     if fam in ("bernstein", "king"):
         rhs["new_osc_degree"], slack["new_osc_degree"] = n / (2.0 * (n + 1.0)) * oo, 0.0
-    if fam in bnd.TRUNCATED_FAMILIES:
+    if fam in TRUNCATED:
         rhs["new_osc_globalrange"] = pair * np.outer(block.grid_osc, block.grid_osc)
         slack["new_osc_globalrange"] = 0.0
     if fam != "lagrange_cheb":
@@ -418,13 +421,13 @@ def _batched_rows(block):
     return out
 
 
-@pytest.mark.parametrize("family", sorted(FAMILY_DOMAINS))
+@pytest.mark.parametrize("family", sorted(ops.FAMILY))
 def test_batches_match_per_cell_reference(family):
     """Every (row, x, f, g) margin and allowance of the batched table against
     the per-cell reference, to 1e-12 relative plus a rounding floor, with
     the same failure mask."""
     from grusslab.verify import SuiteConfig, _x_grid
-    corpus = standard_corpus(FAMILY_DOMAINS[family])
+    corpus = standard_corpus(ops.FAMILY[family].domain)
     funcs = list(corpus.values())
     xs = _x_grid(funcs[0], SuiteConfig(x_grid=REFERENCE_XGRID))
     for n in REFERENCE_DEGREES.get(family, (2, 16)):
@@ -452,13 +455,13 @@ def test_batches_match_per_cell_reference(family):
         assert all(len(v) == len(xs) for v in got.values())
 
 
-@pytest.mark.parametrize("family", bnd.TRUNCATED_FAMILIES)
+@pytest.mark.parametrize("family", TRUNCATED)
 def test_truncated_batches_keep_byte_budget(family):
     """Batches of degree 64 out to x_max: several x share a batch only while
     batch x max(widest window, rows^2) doubles fit BATCH_BYTES; a single x
     wider than that is a batch of its own.  Budgeting (batch, nodes) rather
     than (batch, rows, nodes) arrays keeps the block to a few dozen batches."""
-    corpus = standard_corpus(FAMILY_DOMAINS[family])
+    corpus = standard_corpus(ops.FAMILY[family].domain)
     block = bnd.Block(family, 64, np.linspace(0.0, 50.0, 257), list(corpus.values()))
     rows, sizes, seen = len(corpus), [], []
     for batch in block.batches():
@@ -479,7 +482,7 @@ def test_truncated_cell_above_its_rhs_fails_the_gate():
     from dataclasses import replace
 
     from grusslab.verify import _Accum, _RowMargins
-    corpus = standard_corpus(FAMILY_DOMAINS["baskakov"])
+    corpus = standard_corpus(ops.FAMILY["baskakov"].domain)
     block = bnd.Block("baskakov", 1, [50.0], (corpus["e2"], corpus["sinpi"]))
 
     def lowered(c):
@@ -497,11 +500,11 @@ def test_truncated_cell_above_its_rhs_fails_the_gate():
     assert [(r["bound"], r["f"], r["g"]) for r in acc.failures] == [("new_osc", "e2", "sinpi")]
 
 
-@pytest.mark.parametrize("family", bnd.TRUNCATED_FAMILIES)
+@pytest.mark.parametrize("family", TRUNCATED)
 def test_truncated_rows_carry_the_base_allowance_only(family):
     """Every gated row of a szasz or baskakov block is allowed exactly the
     base allowance: the window functional is normalized, so no slack is due."""
-    funcs = list(standard_corpus(FAMILY_DOMAINS[family]).values())
+    funcs = list(standard_corpus(ops.FAMILY[family].domain).values())
     block = bnd.Block(family, 3, np.linspace(0.0, 50.0, 9), funcs)
     gated = set()
     for batch in block.batches():
@@ -520,7 +523,7 @@ def test_wide_window_batch_forms_no_rows_by_nodes_array():
     rows.  Forming it and reading L|f - Lf| and T(f, 1 - f) allocate less
     than half of one (rows, nodes) array of doubles."""
     import tracemalloc
-    funcs = list(standard_corpus(FAMILY_DOMAINS["baskakov"]).values())
+    funcs = list(standard_corpus(ops.FAMILY["baskakov"].domain).values())
     block = bnd.Block("baskakov", 64, [50.0], funcs)
     w, _, _ = ops.FAMILY["baskakov"].weights(64, 50.0, ops.TAIL_EPS)
     v = np.stack([f.values(np.arange(w.size) / 64) for f in funcs])
@@ -539,7 +542,7 @@ def test_wide_window_batch_forms_no_rows_by_nodes_array():
 def test_batches_hold_at_most_batch_points(family):
     """Few nodes would let hundreds of x share a batch under BATCH_BYTES; the
     points cap splits them into full batches of BATCH_POINTS in x order."""
-    corpus = standard_corpus(FAMILY_DOMAINS[family])
+    corpus = standard_corpus(ops.FAMILY[family].domain)
     xs = np.linspace(0.0, 1.0, 257)
     block = bnd.Block(family, 1, xs, list(corpus.values()))
     rows = len(corpus)
@@ -552,20 +555,21 @@ def test_batches_hold_at_most_batch_points(family):
     assert sizes == [bnd.BATCH_POINTS] * (len(xs) // bnd.BATCH_POINTS) + [len(xs) % bnd.BATCH_POINTS]
 
 
-@pytest.mark.parametrize("family", sorted(FAMILY_DOMAINS))
+@pytest.mark.parametrize("family", sorted(ops.FAMILY))
 def test_one_shot_agrees_with_sweep_batch(family):
     """`bounds` at (x, f, g) against the sweep's batch entry at that x."""
-    corpus = standard_corpus(FAMILY_DOMAINS[family])
+    corpus = standard_corpus(ops.FAMILY[family].domain)
     names = list(corpus)
     funcs = list(corpus.values())
     n = REFERENCE_DEGREES.get(family, (16,))[0]
-    lo, hi = FAMILY_DOMAINS[family]
+    lo, hi = ops.FAMILY[family].domain
     xs = np.linspace(lo, min(hi, 50.0), REFERENCE_XGRID)
     block = bnd.Block(family, n, xs, funcs)
     for batch in block.batches():
         shape = batch.lhs.shape
         rhs = {row.name: np.broadcast_to(row.rhs(batch), shape) for row in block.rows
-               if row.gated and row.lattice is None and family not in row.sweep_only}
+               if row.gated and row.lattice is None
+               and not row.sweep_only(ops.FAMILY[family])}
         for b, x in enumerate(batch.xs):
             for i, j in ((0, 1), (3, 7), (9, 5)):
                 spec = ops.OperatorSpec(family, n, float(x) if family in
@@ -600,7 +604,7 @@ def test_block_with_a_non_finite_point_raises_before_any_batch(family, xs, monke
     for name in ("_binomial_weights", "_poisson_weights", "_negbin_weights"):
         monkeypatch.setattr(ops, name, reached)
     monkeypatch.setattr(lag, "basis_weights", reached)
-    funcs = list(standard_corpus(FAMILY_DOMAINS[family]).values())
+    funcs = list(standard_corpus(ops.FAMILY[family].domain).values())
     lo, hi = ops.FAMILY[family].domain
     with pytest.raises(ValueError, match=rf"^{family} requires x in \[{lo:g}, {hi:g}\]$"):
         bnd.Block(family, 1, xs, funcs)

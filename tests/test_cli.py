@@ -12,7 +12,9 @@ import pytest
 import grusslab
 from grusslab import cli
 from grusslab.cli import main
-from grusslab.operators import FAMILIES, FAMILY, ONE_POINT_FAMILIES
+from grusslab.operators import FAMILIES, FAMILY
+
+ONE_POINT_FAMILIES = tuple(name for name, fam in FAMILY.items() if fam.one_point)
 
 
 def run_cli(args, capsys):

@@ -8,6 +8,34 @@ from grusslab import operators as ops
 from grusslab.funcspace import NodeSet, oscillation
 
 
+def _searched_lebesgue_constant(n, grid=4097):
+    """max of Lambda_n found numerically: the grid maximum, refined by
+    golden-section search between its two grid neighbours."""
+    if n == 1:
+        return 1.0
+    xs = np.linspace(-1.0, 1.0, grid)
+    r, hit = lag._bary_terms(n, xs)
+    lam = np.abs(r).sum(axis=1) / np.abs(r.sum(axis=1))
+    lam[hit.any(axis=1)] = 1.0
+    i = int(np.argmax(lam))
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, grid - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = lag.lebesgue_function(n, c), lag.lebesgue_function(n, d)
+    for _ in range(90):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = lag.lebesgue_function(n, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = lag.lebesgue_function(n, d)
+        if b - a < 1e-13:
+            break
+    return max(float(lam[i]), fc, fd)
+
+
 def direct_basis_oracle(n, x):
     """l_k(x) from the defining product quotient (small n only)."""
     nodes = lag.chebyshev_grid(n).nodes
@@ -105,6 +133,19 @@ class TestLebesgue:
         assert lag.lebesgue_constant(1) == 1.0
         assert lag.lebesgue_constant(2) == pytest.approx(math.sqrt(2), abs=1e-6)
         assert lag.lebesgue_constant(3) == pytest.approx(5.0 / 3.0, abs=1e-6)
+
+    def test_closed_form_agrees_with_search_and_endpoint(self):
+        """The closed form against the maximum found by a 4,097-point grid and
+        golden-section search, and against Lambda_n(1), for n = 1..129."""
+        for n in range(1, 130):
+            lam = lag.lebesgue_constant(n)
+            assert lam == pytest.approx(_searched_lebesgue_constant(n), rel=1e-11, abs=0), n
+            assert lam == pytest.approx(lag.lebesgue_function(n, 1.0), rel=1e-11, abs=0), n
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    def test_constant_needs_a_positive_degree(self, n):
+        with pytest.raises(ValueError, match="positive number of nodes"):
+            lag.lebesgue_constant(n)
 
     def test_rivlin_window_small(self):
         for n in (2, 3, 8, 32):
@@ -234,10 +275,10 @@ def _per_x_hermann(n):
 
 def test_basis_bits_match_per_x_reference():
     """Array rows, the point form and hermann_ratio are bit for bit the per-x
-    barycentric basis, on the Lebesgue grid and at every node hit."""
+    barycentric basis, on a 4,097-point grid and at every node hit."""
     for n in range(1, 65):
         nodes = lag.chebyshev_grid(n).nodes
-        xs = np.concatenate([np.linspace(-1.0, 1.0, lag.LEBESGUE_GRID), nodes])
+        xs = np.concatenate([np.linspace(-1.0, 1.0, 4097), nodes])
         want = np.stack([_per_x_basis(n, x) for x in xs])
         assert lag.basis_weights(n, xs).tobytes() == want.tobytes(), n
         points = np.concatenate([xs[::64], nodes])

@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from grusslab import operators as ops
-from grusslab.verify import (FAMILY_DOMAINS, SuiteConfig, conjecture_scan, run_suite,
+from grusslab.verify import (SuiteConfig, conjecture_scan, run_suite,
                              sharpness_suite)
 
 FAST = dict(degrees=(1, 2, 4), x_grid=17, grid_n=201, conjecture_nmax=6, quad_n=256)
@@ -87,6 +88,51 @@ class TestRunSuite:
         worst = rep.suites["bound_sweep"]["worst_margins"]
         for name in ("new_osc", "new_osc_family", "gruss_quarter", "mercer"):
             assert worst[name]["margin"] > -1e-10, (name, worst[name])
+
+
+@pytest.mark.parametrize("family", sorted(ops.FAMILY))
+def test_rows_match_the_coverage_spec_exactly(family):
+    """The rows each family's block derives from its record are exactly the
+    rows the hand-written coverage spec expects: none missing, none extra."""
+    from grusslab import bounds as bnd
+    from grusslab import verify
+    from grusslab.funcspace import standard_corpus
+    fam = ops.FAMILY[family]
+    block = bnd.Block(family, 1, [fam.domain[0]],
+                      list(standard_corpus(fam.domain).values()))
+    assert {row.name for row in block.rows} == set(verify.FAMILY_BOUNDS[family])
+
+
+def _butzer_weights(n, x, _tail_eps):
+    """2 B_2n - B_n at x on the nodes k/(2n): B_n's node j/n is node 2j."""
+    w = 2.0 * ops._binomial_weights(2 * n, x)
+    w[::2] -= ops._binomial_weights(n, x)
+    return w, 0.0, None
+
+
+def test_a_signed_family_needs_its_record_and_its_coverage_entry_only(monkeypatch,
+                                                                      capsys):
+    """Butzer's signed combination 2 B_2n - B_n, registered through one
+    family record and one coverage entry, is swept, cross-checked and
+    answered by ``bounds`` with no other edit."""
+    from grusslab import verify
+    from grusslab.cli import main
+    monkeypatch.setitem(ops.FAMILY, "butzer", ops.Family(
+        (0.0, 1.0), lambda n: np.arange(2 * n + 1) / (2.0 * n), _butzer_weights,
+        signed=True))
+    monkeypatch.setitem(verify.FAMILY_BOUNDS, "butzer", ("new_osc",))
+    assert float(ops.point_functional("butzer", 1, 0.3).weights.min()) < -0.1
+    rep = run_suite(SuiteConfig(families=("butzer",), degrees=(1, 2, 3, 8), x_grid=33,
+                                conjecture_nmax=2))
+    assert rep.passed, rep.suites["bound_sweep"]["failure_samples"]
+    assert rep.coverage == {"families": ["butzer"], "bounds": ["new_osc"],
+                            "missing": {}}
+    assert rep.suites["bound_sweep"]["cells"] == 4 * 33 * 100
+    assert rep.suites["identity_equivalence"]["checks"] > 0
+    assert main(["bounds", "--op", "butzer:4", "--x", "0.3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["operator"], set(out["rhs"])) == ("butzer:4", {"new_osc"})
+    assert out["margins"]["new_osc"] >= 0.0
 
 
 SMALL = dict(degrees=(1, 3), x_grid=9, grid_n=101, conjecture_nmax=3)
@@ -209,7 +255,7 @@ class TestBatchIndependence:
         from grusslab import funcspace, verify
         monkeypatch.setattr(bnd, "BOUNDS", _halved_new_osc())
         monkeypatch.setattr(verify, "FAILURE_SAMPLES", 10 ** 6)
-        funcs = list(funcspace.standard_corpus(FAMILY_DOMAINS[family]).values())
+        funcs = list(funcspace.standard_corpus(ops.FAMILY[family].domain).values())
         xs = np.linspace(*funcs[0].interval, 17)
         block = bnd.Block(family, 3, xs, funcs)
         evaluated = [(batch, list(block.evaluate(batch))) for batch in block.batches()]
@@ -252,7 +298,7 @@ class TestIdentityGram:
         assert not ident["pass"]
         worst = ident["worst"]
         assert (worst["f"], worst["g"]) == ("e2", "sinpi")
-        corpus = funcspace.standard_corpus(FAMILY_DOMAINS[worst["operator"]])
+        corpus = funcspace.standard_corpus(ops.FAMILY[worst["operator"]].domain)
         L = ops.point_functional(worst["operator"], worst["n"], worst["x"])
         expected = ops.chebyshev_T(L, corpus["e2"], corpus["sinpi"])
         assert worst["chebyshev_T"] == pytest.approx(expected, rel=1e-14, abs=0.0)
