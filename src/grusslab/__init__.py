@@ -9,7 +9,7 @@ from .funcspace import (CORPUS_NAMES, ModulusEnvelope, NodeSet, RealFunction,
 from .lagrange import (lagrange_basis, lagrange_classical_bound,
                        lagrange_new_bound, lebesgue_constant,
                        lebesgue_function, pair_product_sum)
-from .operators import (FAMILIES, OperatorSpec, PointFunctional, apply,
+from .operators import (FAMILIES, OperatorSpec, PairForm, PointFunctional, apply,
                         baskakov_at, bbh_at, bernstein_at, chebyshev_T,
                         king_at, measure_example_T, pairwise_identity,
                         parse_operator_spec, r_star, sdelta_at, szasz_at,

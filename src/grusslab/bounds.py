@@ -215,6 +215,23 @@ class Batch:
         return self.w @ (vi * u) - (self.w @ vi) * (self.w @ u)
 
 
+def _span_osc(v: np.ndarray, spans) -> np.ndarray:
+    """max - min of each row of v over each span [lo, hi), (spans, rows),
+    in one reduceat pass per extreme.  reduceat reads index i up to index
+    i + 1, so each span's lo is followed by its hi; a span that ends at the
+    last node stops one node short, and that node is taken in after."""
+    last = v.shape[1] - 1
+    idx = np.array(spans, dtype=np.intp).reshape(-1)
+    ends = np.flatnonzero(idx[1::2] > last)
+    idx[1::2] = np.minimum(idx[1::2], last)
+    top = np.maximum.reduceat(v, idx, axis=1)[:, ::2]
+    bottom = np.minimum.reduceat(v, idx, axis=1)[:, ::2]
+    if ends.size:
+        top[:, ends] = np.maximum(top[:, ends], v[:, last:])
+        bottom[:, ends] = np.minimum(bottom[:, ends], v[:, last:])
+    return np.subtract(top.T, bottom.T, out=np.empty((len(spans), len(v))))
+
+
 class Block:
     """One (family, degree) over evaluation points ``xs`` and corpus rows
     ``funcs``: the table rows that apply, what they read per block, and the
@@ -315,8 +332,7 @@ class Block:
             w[b, lo:hi] = wb
         osc = None
         if any(span is not None for _, span in points):
-            osc = np.stack([v[:, lo:hi].max(axis=1) - v[:, lo:hi].min(axis=1)
-                            for lo, hi in spans])
+            osc = _span_osc(v, spans)
         return Batch(self, start, v[:, :width], w, osc=osc)
 
     def _measure_batches(self):

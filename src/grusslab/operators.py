@@ -46,6 +46,7 @@ __all__ = [
     "measure_example_T",
     "apply",
     "chebyshev_T",
+    "PairForm",
     "pairwise_identity",
     "parse_operator_spec",
     "log_gamma",
@@ -283,15 +284,21 @@ def _truncate(w: np.ndarray, tail_eps: float, up_ratio) -> tuple[np.ndarray, flo
     the upward ratio recurrence.  The mode weight, an exp of a difference of
     log-gammas, and long recurrences can leave a rounding deficit of order
     1e-11 that no amount of true tail can close; extension stops once the
-    gained mass no longer closes the gap.  The window is then cut where the
-    computed mass left over drops below tail_eps, and the achieved deficit
-    is reported as the tail bound.
+    gained mass no longer closes the gap, and is not begun when the tail's
+    geometric bound w[-1] r/(1 - r), r the (nonincreasing) up ratio at the
+    last index, is below a quarter ulp of the window's mass: such a tail
+    cannot move it.  The window is then cut where the computed mass left
+    over drops below tail_eps, and the achieved deficit is reported as the
+    tail bound.
     """
     c = np.cumsum(w)
     while 1.0 - c[-1] > tail_eps:
         if w.size > _KCAP:
             raise ArithmeticError("truncation window exceeded the hard cap")
         start = float(w.size - 1)
+        r = float(up_ratio(np.array([start]))[0])
+        if r < 1.0 and w[-1] * r / (1.0 - r) < 0.25 * np.spacing(c[-1]):
+            break
         chunk = w.size // 2 + 64
         ext = w[-1] * np.cumprod(up_ratio(np.arange(start, start + chunk)))
         gain = float(np.sum(ext))
@@ -645,16 +652,31 @@ def _pair_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
     return k, l
 
 
-def pairwise_identity(L: PointFunctional, f: RealFunction, g: RealFunction) -> float:
-    """The same functional via the direct pair sum over k < l.
+class PairForm:
+    """The pair form of one functional over named corpus rows: w_k w_l over
+    its node pairs k < l, and per row the differences f_k - f_l and the
+    weighted differences w_k w_l (f_k - f_l).  Built once, it serves every
+    ordered pair of its rows; it holds (2 rows + 1) pairs floats, pairs =
+    size (size - 1) / 2.  ``values`` are the rows at the nodes, (rows, size).
+    """
+
+    def __init__(self, L: PointFunctional, funcs):
+        funcs = tuple(funcs)
+        self.rows = {f.name: i for i, f in enumerate(funcs)}
+        self.values = np.stack([f.values(L.nodes) for f in funcs])
+        w = L.weights
+        k, l = _pair_indices(w.size)
+        self.ww = w[k] * w[l]
+        self.diff = self.values[:, k] - self.values[:, l]
+        self.wdiff = self.ww * self.diff
+
+
+def pairwise_identity(form: PairForm, f: RealFunction, g: RealFunction) -> float:
+    """T_L(f, g) via the direct pair sum over k < l.
 
     Written out as sum_{k<l} w_k w_l (f_k - f_l)(g_k - g_l), one array term
-    per node pair, so it stays an independent cross-check of
-    :func:`chebyshev_T` rather than an algebraic rearrangement.  Its memory
-    grows with the number of pairs, size (size - 1) / 2.
+    per node pair, multiplied in that order, so it stays an independent
+    cross-check of :func:`chebyshev_T` rather than an algebraic
+    rearrangement.  f and g are rows of ``form``, looked up by name.
     """
-    fv = f.values(L.nodes)
-    gv = g.values(L.nodes)
-    w = L.weights
-    k, l = _pair_indices(w.size)
-    return float((w[k] * w[l] * (fv[k] - fv[l]) * (gv[k] - gv[l])).sum())
+    return float((form.wdiff[form.rows[f.name]] * form.diff[form.rows[g.name]]).sum())

@@ -442,10 +442,11 @@ def equality_holds(row: dict) -> bool:
 def _identity_suite(cfg: SuiteConfig, corpora) -> dict:
     """T two ways at five sample points per exact (family, degree): as a Gram
     matrix ``L(f g) - L(f) L(g)`` over every corpus pair at once, and as the
-    pair sum :func:`operators.pairwise_identity`, one call per pair.  The
-    Gram matrix is formed here from the functional's node values, apart from
-    the sweep's :class:`bounds.Batch`, so the cross-check does not share its
-    code; the domain check of :func:`operators.chebyshev_T` is kept, once per
+    pair sum :func:`operators.pairwise_identity`, one call per pair, read
+    from the functional's :class:`operators.PairForm`, built once.  The Gram
+    matrix is formed here from the form's node values, apart from the sweep's
+    :class:`bounds.Batch`, so the cross-check does not share its code; the
+    domain check of :func:`operators.chebyshev_T` is kept, once per
     functional and corpus member."""
     names = cfg.functions
     worst = {"tol_ratio": 0.0}
@@ -468,14 +469,15 @@ def _identity_suite(cfg: SuiteConfig, corpora) -> dict:
                 lo, hi = L.nodes.min(), L.nodes.max()
                 for f in funcs:
                     check_inside(f, lo, hi)
-                fv = np.stack([f.values(L.nodes) for f in funcs])
+                form = ops.PairForm(L, funcs)
+                fv = form.values
                 a = fv @ w
                 gram = ((fv * w) @ fv.T - np.outer(a, a)).tolist()
                 scale_f = (1.0 + np.max(np.abs(fv), axis=1)).tolist()
                 for i, f in enumerate(funcs):
                     for j, g in enumerate(funcs):
                         t1 = gram[i][j]
-                        t2 = ops.pairwise_identity(L, f, g)
+                        t2 = ops.pairwise_identity(form, f, g)
                         # rounding floor: both routes sum ~size terms of this scale
                         floor = 256.0 * eps * scale_f[i] * scale_f[j]
                         dev = abs(t1 - t2)
@@ -498,11 +500,11 @@ def _identity_suite(cfg: SuiteConfig, corpora) -> dict:
 
 
 def _environment_stamp() -> dict:
-    from importlib import metadata  # imported here: only a report reads it
+    import scipy  # imported here: only a report reads it
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": metadata.version("scipy"),
+        "scipy": scipy.__version__,
         "platform": sys.platform,
     }
 

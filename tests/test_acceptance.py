@@ -178,10 +178,11 @@ def test_criterion_7_identity_equivalence(default_run, corpus01, corpus_pm,
         L = builders[family]()
         fv = np.stack([corpus[nm].values(L.nodes) for nm in corpus])
         scale = 1.0 + np.max(np.abs(fv), axis=1)
+        form = ops.PairForm(L, corpus.values())
         for i, f in enumerate(corpus.values()):
             for j, g in enumerate(corpus.values()):
                 t1 = ops.chebyshev_T(L, f, g)
-                t2 = ops.pairwise_identity(L, f, g)
+                t2 = ops.pairwise_identity(form, f, g)
                 floor = 256.0 * np.finfo(float).eps * scale[i] * scale[j]
                 assert abs(t1 - t2) <= 1e-10 * max(abs(t1), abs(t2)) + floor
     _say(f"criterion 7 PASS: {suite['checks']} suite checks plus "

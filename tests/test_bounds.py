@@ -475,6 +475,42 @@ def test_truncated_batches_keep_byte_budget(family):
     assert len(sizes) <= {"szasz": 26, "baskakov": 61}[family], len(sizes)
 
 
+def _assert_span_osc(block):
+    """Each batch's oscillations equal max - min over each point's span, bit
+    for bit; returns the spans seen."""
+    spans = []
+    for batch in block.batches():
+        ref = []
+        for x in batch.xs:
+            lo, hi = block.fam.weights(block.n, float(x), block.tail_eps)[2]
+            spans.append((lo, hi, batch.v.shape[1]))
+            ref.append(batch.v[:, lo:hi].max(axis=1) - batch.v[:, lo:hi].min(axis=1))
+        assert batch.osc.tobytes() == np.stack(ref).tobytes(), (block.family, batch.xs)
+    return spans
+
+
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_sdelta_span_oscillations_match_per_span(n):
+    # x = 1 and the points just below it read spans that end at the last node
+    corpus = standard_corpus((0.0, 1.0))
+    xs = np.concatenate([np.linspace(0.0, 1.0, 257), [1.0 - 1e-3 / n, 1.0 - 1e-9]])
+    spans = _assert_span_osc(bnd.Block("sdelta", n, np.sort(xs), list(corpus.values())))
+    assert {(lo, hi) for lo, hi, size in spans if hi == size} == {(n, n + 1), (n - 1, n + 1)}
+
+
+@pytest.mark.parametrize("family,n", [("szasz", 16), ("baskakov", 8)])
+def test_window_oscillations_match_per_span(family, n):
+    corpus = standard_corpus((0.0, math.inf))
+    _assert_span_osc(bnd.Block(family, n, np.linspace(0.0, 50.0, 65), list(corpus.values())))
+
+
+def test_span_osc_at_the_last_node():
+    v = np.array([[3.0, -1.0, 2.0, 5.0, 4.0], [0.0, 7.0, -2.0, 1.0, -3.0]])
+    spans = [(0, 2), (4, 5), (1, 5), (2, 3), (3, 5), (0, 5)]
+    ref = np.stack([v[:, lo:hi].max(axis=1) - v[:, lo:hi].min(axis=1) for lo, hi in spans])
+    assert bnd._span_osc(v, spans).tobytes() == ref.tobytes()
+
+
 def test_truncated_cell_above_its_rhs_fails_the_gate():
     """baskakov:1 at x = 50, (e2, sinpi): with new_osc's rhs set to |T| less
     twice the base allowance, the sweep's gate counts one failure there.  A

@@ -67,10 +67,10 @@ class TestVerifyCommand:
         from grusslab import operators as ops
         pair_sum = ops.pairwise_identity
 
-        def nan_for_one_pair(L, f, g):
+        def nan_for_one_pair(form, f, g):
             if (f.name, g.name) == ("sinpi", "hat"):
                 return math.nan
-            return pair_sum(L, f, g)
+            return pair_sum(form, f, g)
 
         monkeypatch.setattr(ops, "pairwise_identity", nan_for_one_pair)
         out = tmp_path / "r.json"

@@ -280,22 +280,53 @@ class TestApplyAndT:
                 pytest.approx(a * (1 - a), abs=1e-15)
 
 
+def _pair_sum(L, f, g):
+    """pairwise_identity over a pair form of L built for f and g alone."""
+    return ops.pairwise_identity(ops.PairForm(L, (f, g)), f, g)
+
+
 class TestPairwiseIdentity:
     def test_two_point_exact(self, corpus01):
         e1 = corpus01["e1"]
         for a in (0.1, 0.5, 0.8):
-            assert ops.pairwise_identity(ops.two_point(a), e1, e1) == \
+            assert _pair_sum(ops.two_point(a), e1, e1) == \
                 pytest.approx(a * (1 - a), abs=1e-16)
 
     def test_constant_is_exact_zero(self, corpus01):
         L = ops.bernstein_at(7, 0.41)
-        assert ops.pairwise_identity(L, corpus01["e0"], corpus01["randlip"]) == 0.0
+        assert _pair_sum(L, corpus01["e0"], corpus01["randlip"]) == 0.0
 
     def test_cross_check_bernstein(self, corpus01):
         L = ops.bernstein_at(3, 0.3)
         t1 = ops.chebyshev_T(L, corpus01["e1"], corpus01["e2"])
-        t2 = ops.pairwise_identity(L, corpus01["e1"], corpus01["e2"])
+        t2 = _pair_sum(L, corpus01["e1"], corpus01["e2"])
         assert t1 == pytest.approx(t2, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("family", [f for f, fam in ops.FAMILY.items()
+                                        if fam.nodes is not None])
+    def test_form_matches_written_out_sum(self, family):
+        # one form per functional serves every ordered corpus pair, bit for
+        # bit the sum written out term by term over k < l
+        fam = ops.FAMILY[family]
+        corpus = standard_corpus(fam.domain)
+        funcs = list(corpus.values())
+        lo, hi = funcs[0].interval
+        for n in ((1,) if fam.one_point else (1, 3, 64)):
+            for x in ((0.3, 1.0) if fam.one_point else np.linspace(lo, hi, 5)):
+                L = ops.point_functional(family, n, float(x))
+                form = ops.PairForm(L, funcs)
+                w = L.weights
+                k, l = np.triu_indices(w.size, 1)
+                for f in funcs:
+                    fv = f.values(L.nodes)
+                    for g in funcs:
+                        gv = g.values(L.nodes)
+                        ref = float((w[k] * w[l] * (fv[k] - fv[l]) * (gv[k] - gv[l])).sum())
+                        got = ops.pairwise_identity(form, f, g)
+                        assert got == ref, (family, n, x, f.name, g.name)
+                pairs = w.size * (w.size - 1) // 2
+                assert form.ww.size + form.diff.size + form.wdiff.size == \
+                    (2 * len(funcs) + 1) * pairs
 
     @given(st.sampled_from(["bernstein", "sdelta", "king", "bbh"]),
            st.integers(1, 16), st.floats(0.01, 0.99))
@@ -304,7 +335,7 @@ class TestPairwiseIdentity:
         L = FAMILY_BUILDERS[family](n, x)
         f, g = corpus["sinpi"], corpus["expneg"]
         t1 = ops.chebyshev_T(L, f, g)
-        t2 = ops.pairwise_identity(L, f, g)
+        t2 = _pair_sum(L, f, g)
         assert abs(t1 - t2) <= 1e-10 * max(abs(t1), abs(t2)) + 1e-13
 
 
@@ -368,7 +399,7 @@ class TestPairSumOracle:
                         exact = apply_exact(lambda t: fa(t) * fb(t)) - means
                         tol = Fraction(1, 10 ** 14) * abs(exact) + Fraction(1, 10 ** 16)
                         where = (family, n, k, a, b)
-                        t2 = ops.pairwise_identity(L, corpus01[a], corpus01[b])
+                        t2 = _pair_sum(L, corpus01[a], corpus01[b])
                         assert abs(Fraction(t2) - exact) <= tol, where
                         # L(fg) - L(f)L(g) cancels against L(f)L(g), so its
                         # error also holds one rounding of that product
@@ -387,9 +418,10 @@ class TestPairSumOracle:
             L = build(64, float(x))
             scale = {nm: 1.0 + np.max(np.abs(f.values(L.nodes)))
                      for nm, f in corpus.items()}
+            form = ops.PairForm(L, corpus.values())
             for f in corpus.values():
                 for g in corpus.values():
-                    new = ops.pairwise_identity(L, f, g)
+                    new = ops.pairwise_identity(form, f, g)
                     ref = _row_loop_pair_sum(L, f, g)
                     floor = 256.0 * eps * scale[f.name] * scale[g.name]
                     assert abs(new - ref) <= 1e-12 * abs(ref) + floor, \
@@ -485,6 +517,37 @@ class TestInputChecks:
         w = 0.01 * 0.99 ** np.arange(4.0)
         with pytest.raises(ArithmeticError, match="hard cap"):
             ops._truncate(w, 1e-12, lambda k: np.full(k.shape, 0.99))
+
+    @staticmethod
+    def _truncations(monkeypatch, build):
+        """(window in, window out) of every _truncate call a build makes."""
+        seen, truncate = [], ops._truncate
+
+        def spy(w, tail_eps, up_ratio):
+            out = truncate(w, tail_eps, up_ratio)
+            seen.append((w, out[0]))
+            return out
+        monkeypatch.setattr(ops, "_truncate", spy)
+        build()
+        return seen
+
+    def test_truncation_skips_a_tail_below_rounding(self, monkeypatch):
+        # baskakov:64 at x = 30 falls short of 1 by the mode weight's
+        # rounding alone; its geometric tail bound is below a quarter ulp of
+        # the window's mass, so the window is cut in place, not first grown
+        [(w, out)] = self._truncations(monkeypatch,
+                                       lambda: ops._negbin_weights(64, 30.0, 1e-12))
+        assert 1.0 - np.sum(w) > 1e-12
+        assert np.shares_memory(out, w)
+
+    def test_truncation_still_extends_a_real_tail(self, monkeypatch):
+        # baskakov:1 at x = 25 leaves a true tail of about 1e-8 beyond its
+        # initial window, so the window grows
+        [(w, out)] = self._truncations(monkeypatch,
+                                       lambda: ops._negbin_weights(1, 25.0, 1e-12))
+        assert out.size > w.size
+        assert not np.shares_memory(out, w)
+        assert 1.0 - np.sum(out) <= 1e-11
 
 
 class TestOperatorSpec:

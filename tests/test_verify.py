@@ -289,9 +289,9 @@ class TestIdentityGram:
         from grusslab import funcspace
         pair_sum = ops.pairwise_identity
 
-        def perturbed(L, f, g):
+        def perturbed(form, f, g):
             off = 1e-6 if (f.name, g.name) == ("e2", "sinpi") else 0.0
-            return pair_sum(L, f, g) + off
+            return pair_sum(form, f, g) + off
         monkeypatch.setattr(ops, "pairwise_identity", perturbed)
         cfg = SuiteConfig(families=("bernstein", "king", "lagrange_cheb"), **SMALL)
         ident = run_suite(cfg).suites["identity_equivalence"]
