@@ -195,7 +195,7 @@ class Batch:
         where the record states one, else its x-free one, taken once."""
         fam, n = self.block.fam, self.block.n
         if fam.coef_at is not None:
-            return _per_x([fam.coef_at(n, float(x)) for x in self.xs])
+            return _per_x(fam.coef_at(n, self.xs))
         return np.full((len(self.xs), 1, 1), fam.coef(n))
 
     @functools.cached_property

@@ -3,17 +3,18 @@
 Every family is realized as a :class:`PointFunctional`: the nodes the
 functional reads plus the weights it attaches to them at an evaluation point,
 both given by the family's one record in :data:`FAMILY`.
-Infinite families (Szasz, Baskakov) are truncated at a declared tail mass
-and their window weights divided by their sum, so every reader gets the same
-positive normalized functional; the tail mass is reported, not gated.
-Weights are built by multiplicative ratio recurrences seeded at the
-distribution mode, which stays in range where a plain start at k=0 would
-underflow (e.g. exp(-nx) for nx beyond ~745).
+Infinite families (Szasz, Baskakov) are truncated and their window weights
+divided by their sum, so every reader gets the same positive normalized
+functional.  Window weights are built by multiplicative ratio recurrences
+seeded at the distribution mode, which stays in range where a plain start at
+k=0 would underflow (e.g. exp(-nx) for nx beyond ~745).  A window ends at the
+first index past the mode where the geometric bound w_K r/(1 - r) on the mass
+left over, r the up ratio at K, is at most the declared tail mass; that bound
+is reported as the tail, not gated.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import importlib
 import math
@@ -49,7 +50,6 @@ __all__ = [
     "PairForm",
     "pairwise_identity",
     "parse_operator_spec",
-    "log_gamma",
 ]
 
 _SUM_TOL = 1e-10
@@ -146,96 +146,6 @@ def parse_operator_spec(text: str) -> OperatorSpec:
 
 
 # ---------------------------------------------------------------------------
-# log gamma at integers
-#
-# Cephes' lgam (the routine behind scipy.special.gammaln) at integer a >= 1,
-# written out: log (a - 1)! below 13, Stirling's series above, its correction
-# term a polynomial in 1/a^2 over a below 1000, three terms up to 1e8 and none
-# beyond.  The scalar path gives cephes' bits; the array path differs from
-# them only where numpy's vector log does, by at most 2 ulp.
-
-#: log (a - 1)! at index a = 1..12; index 0 is NaN, never a plausible value
-_LOG_FACTORIAL = np.array([math.nan] + [math.log(math.factorial(k))
-                                        for k in range(12)])
-_LS2PI = 0.91893853320467274178          # log sqrt(2 pi)
-_STIRLING_POLY = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
-                  7.93650340457716943945e-4, -2.77777777730099687205e-3,
-                  8.33333333333331927722e-2)
-_STIRLING_SHORT = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
-                   0.0833333333333333333333)
-#: an integer a falls in branch k = bisect_right(_EDGES, a), _EDGES[k - 1] <=
-#: a < _EDGES[k]: 1 the table, 2 the polynomial, 3 the three terms, 4 none
-#: (a > 1e8 is a >= 1e8 + 1); 0 (a < 1) and 5 (inf, NaN) lie outside
-_EDGES = (1.0, 13.0, 1000.0, 1e8 + 1.0, math.inf)
-_CHUNK = 1 << 14                         # elements per pass, kept in cache
-
-
-def log_gamma(a):
-    """log Gamma(a) for integer-valued a >= 1, a scalar or an array."""
-    if isinstance(a, np.ndarray) and a.ndim:
-        return _log_gamma_array(a)
-    x = float(a)
-    if not (x >= 1.0 and x.is_integer()):
-        raise ValueError(f"log_gamma needs an integer a >= 1, got {a!r}")
-    if x < 13.0:
-        return float(_LOG_FACTORIAL[int(x)])
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    if x > 1e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        c0, c1, c2 = _STIRLING_SHORT
-        return q + ((c0 * p + c1) * p + c2) / x
-    c0, c1, c2, c3, c4 = _STIRLING_POLY
-    return q + ((((c0 * p + c1) * p + c2) * p + c3) * p + c4) / x
-
-
-def _log_gamma_array(a: np.ndarray) -> np.ndarray:
-    """Over chunks of a that stay in cache; a chunk that spans branches
-    evaluates each branch over its own elements only."""
-    x = np.asarray(a, dtype=float)
-    out = np.empty(x.shape)
-    xf, of = x.reshape(-1), out.reshape(-1)
-    for i in range(0, xf.size, _CHUNK):
-        xc, oc = xf[i:i + _CHUNK], of[i:i + _CHUNK]
-        first = bisect.bisect_right(_EDGES, xc.min())
-        last = bisect.bisect_right(_EDGES, xc.max())
-        if first == 0 or last == 5 or not (np.floor(xc) == xc).all():
-            raise ValueError("log_gamma needs integers a >= 1")
-        if first == last:
-            _log_gamma_branch(xc, first, oc)
-            continue
-        for k in range(first, last + 1):
-            mask = (xc >= _EDGES[k - 1]) & (xc < _EDGES[k])
-            oc[mask] = _log_gamma_branch(xc[mask], k)
-    return out
-
-
-def _log_gamma_branch(x: np.ndarray, branch: int,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """One branch at every element of x, in cephes' order of operations."""
-    if branch == 1:
-        return np.take(_LOG_FACTORIAL, x.astype(np.intp), out=out)
-    q = np.log(x, out=out)
-    t = np.subtract(x, 0.5)
-    q *= t
-    q -= x
-    q += _LS2PI
-    if branch < 4:
-        coef = _STIRLING_POLY if branch == 2 else _STIRLING_SHORT
-        p = np.multiply(x, x, out=t)
-        np.divide(1.0, p, out=p)
-        r = coef[0] * p
-        for c in coef[1:-1]:
-            r += c
-            r *= p
-        r += coef[-1]
-        r /= x
-        q += r
-    return q
-
-
-# ---------------------------------------------------------------------------
 # weight builders
 
 
@@ -259,75 +169,55 @@ def _binomial_weights(n: int, p: float) -> np.ndarray:
     return w
 
 
-def _mode_seeded_weights(log_w_mode: float, mode: int, kmax: int,
-                         up_ratio, down_ratio) -> np.ndarray:
-    """Masses for k = 0..kmax from the mode outward via ratio products."""
-    wm = math.exp(log_w_mode)
-    parts = [np.array([wm])]
-    if mode > 0:
-        down = wm * np.cumprod(down_ratio(np.arange(mode, 0, -1.0)))
-        parts.insert(0, down[::-1])
-    if kmax > mode:
-        up = wm * np.cumprod(up_ratio(np.arange(float(mode), float(kmax))))
-        parts.append(up)
-    return np.concatenate(parts)
-
-
+#: the most nodes a truncation window, or terms a theta series, may reach
 _KCAP = 5_000_000
 
 
-def _truncate(w: np.ndarray, tail_eps: float, up_ratio) -> tuple[np.ndarray, float]:
-    """Cut at the first index whose remaining mass is below tail_eps.
+def _ratio_window(log_wm: float, mode: int, reach: int, up_ratio, down_ratio,
+                  tail_eps: float) -> tuple[np.ndarray, float]:
+    """Masses w_0..w_K from the mode weight exp(log_wm) by products of the
+    ratios up_ratio(k) = w_{k+1}/w_k and down_ratio(k) = w_{k-1}/w_k, and the
+    tail bound past K.
 
-    If the initial window does not yet accumulate 1 - tail_eps (slowly
-    decaying tails, e.g. nearly geometric weights), it is grown by continuing
-    the upward ratio recurrence.  The mode weight, an exp of a difference of
-    log-gammas, and long recurrences can leave a rounding deficit of order
-    1e-11 that no amount of true tail can close; extension stops once the
-    gained mass no longer closes the gap, and is not begun when the tail's
-    geometric bound w[-1] r/(1 - r), r the (nonincreasing) up ratio at the
-    last index, is below a quarter ulp of the window's mass: such a tail
-    cannot move it.  The window is then cut where the computed mass left
-    over drops below tail_eps, and the achieved deficit is reported as the
-    tail bound.
+    K is the first index >= mode whose up ratio r = up_ratio(K) is below 1
+    and where w_K r/(1 - r) <= tail_eps.  Up ratios that never increase past
+    the mode make that geometric bound cover all the mass past K, so it is
+    returned as the tail.  The first pass reaches ``reach`` > mode; each
+    later pass goes twice as far as the one before.
     """
-    c = np.cumsum(w)
-    while 1.0 - c[-1] > tail_eps:
-        if w.size > _KCAP:
+    wm = math.exp(log_wm)
+    parts, lo, hi = [np.array([wm])], mode, reach
+    while True:
+        if hi > _KCAP:
             raise ArithmeticError("truncation window exceeded the hard cap")
-        start = float(w.size - 1)
-        r = float(up_ratio(np.array([start]))[0])
-        if r < 1.0 and w[-1] * r / (1.0 - r) < 0.25 * np.spacing(c[-1]):
+        r = up_ratio(np.arange(float(lo), float(hi)))   # r[j] = w_{lo+j+1}/w_{lo+j}
+        up = np.cumprod(r)
+        up *= parts[-1][-1]
+        np.subtract(1.0, r, out=r)
+        np.maximum(r, 0.0, out=r)                       # 1 - r[j], 0 where r[j] >= 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.divide(up, r)                    # w_{lo+j} r[j]/(1 - r[j])
+        # a float test array: numpy keeps freed blocks under 1 KiB for reuse,
+        # and a bool array of every pass length would fill that cache
+        j = int(np.argmax(np.less_equal(bound, tail_eps, out=r)))
+        if r[j]:
             break
-        chunk = w.size // 2 + 64
-        ext = w[-1] * np.cumprod(up_ratio(np.arange(start, start + chunk)))
-        gain = float(np.sum(ext))
-        if not np.isfinite(gain) or gain <= 0.0:
-            break
-        w = np.concatenate([w, ext])
-        c = np.concatenate([c, c[-1] + np.cumsum(ext)])
-        if 1.0 - c[-1] > tail_eps and gain < 0.25 * (1.0 - c[-1]):
-            break
-    top = c[-1] if 1.0 - c[-1] > tail_eps else 1.0
-    k = int(np.searchsorted(c, top - tail_eps))
-    k = min(k, w.size - 1)
-    tail = max(tail_eps, 1.0 - float(c[k]))
-    return w[: k + 1], tail
+        parts.append(up)
+        lo, hi = hi, hi + 2 * (hi - lo)
+    parts.append(up[:j])
+    down = np.cumprod(down_ratio(np.arange(mode, 0, -1.0)))   # empty at mode 0
+    down *= wm
+    parts.insert(0, down[::-1])
+    return np.concatenate(parts), float(bound[j])
 
 
 def _poisson_weights(lam: float, tail_eps: float) -> tuple[np.ndarray, float]:
     if lam <= 0.0:
         return np.array([1.0]), 0.0
-    kmax = int(lam + 12.0 * math.sqrt(lam) + 50.0)
-    mode = min(int(lam), kmax)
+    mode = int(lam)
     log_wm = -lam + mode * math.log(lam) - math.lgamma(mode + 1)
-    up_ratio = lambda k: lam / (k + 1.0)         # w_{k+1} = w_k * lam/(k+1)
-    w = _mode_seeded_weights(
-        log_wm, mode, kmax,
-        up_ratio=up_ratio,
-        down_ratio=lambda k: k / lam,            # w_{k-1} = w_k * k/lam
-    )
-    return _truncate(w, tail_eps, up_ratio)
+    return _ratio_window(log_wm, mode, int(lam + 12.0 * math.sqrt(lam) + 50.0),
+                         lambda k: lam / (k + 1.0), lambda k: k / lam, tail_eps)
 
 
 def _negbin_weights(n: int, x: float, tail_eps: float) -> tuple[np.ndarray, float]:
@@ -335,17 +225,13 @@ def _negbin_weights(n: int, x: float, tail_eps: float) -> tuple[np.ndarray, floa
         return np.array([1.0]), 0.0
     p = x / (1.0 + x)
     mean = n * x
-    kmax = int(mean + 15.0 * math.sqrt(mean * (1.0 + x)) + 60.0)
-    mode = min(int((n - 1) * x), kmax) if n > 1 else 0
-    log_wm = (log_gamma(n + mode) - log_gamma(mode + 1) - log_gamma(n)
+    mode = int((n - 1) * x)
+    log_wm = (math.lgamma(n + mode) - math.lgamma(mode + 1) - math.lgamma(n)
               + mode * math.log(p) - n * math.log1p(x))
-    up_ratio = lambda k: p * (n + k) / (k + 1.0)
-    w = _mode_seeded_weights(
-        log_wm, mode, kmax,
-        up_ratio=up_ratio,
-        down_ratio=lambda k: k / (p * (n + k - 1.0)),
-    )
-    return _truncate(w, tail_eps, up_ratio)
+    return _ratio_window(log_wm, mode,
+                         int(mean + 15.0 * math.sqrt(mean * (1.0 + x)) + 60.0),
+                         lambda k: p * (n + k) / (k + 1.0),
+                         lambda k: k / (p * (n + k - 1.0)), tail_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +282,18 @@ class Family:
     tail_eps)`` returns ``(w, tail, span)``: the weights at x, the tail mass
     they leave out, and the index range [lo, hi) of the node array that ``w``
     covers when it covers only part of it (None: every node).  A truncated
-    family's window weights come divided by their sum; ``tail`` is the mass
-    of the untruncated operator that the window left out.  ``signed`` weights
-    may be negative.  A ``one_point`` family takes a parameter a in [0, 1] in
-    place of x, has no degree (n = 1) and makes one sweep block.  A family
-    without weights (the mixed measure) has no point form.
+    family's window weights come divided by their sum; ``tail`` is an upper
+    bound, at most tail_eps, on the mass of the untruncated operator that the
+    window left out.  ``signed`` weights may be negative.  A ``one_point``
+    family takes a parameter a in [0, 1] in place of x, has no degree (n = 1)
+    and makes one sweep block.  A family without weights (the mixed measure)
+    has no point form.
 
     The bound table reads closed forms, None where none is stated: ``coef(n)``
-    majorizes (1 - sum w^2)/2 at every x, ``coef_at(n, x)`` at x where that
-    depends on x; ``second_moment(n, x)`` is L((e1 - x)^2); ``ws_step(n)``,
-    the classical x-free step, is at least 2 sqrt(second_moment) at every x.
+    majorizes (1 - sum w^2)/2 at every x, ``coef_at(n, x)`` at x, a point or
+    an array of points, where that depends on x; ``second_moment(n, x)`` is
+    L((e1 - x)^2); ``ws_step(n)``, the classical x-free step, is at least
+    2 sqrt(second_moment) at every x.
     """
 
     domain: tuple[float, float]
@@ -462,7 +350,7 @@ def _binomial_coef(n: int) -> float:
     return 0.5 * (1.0 - _late("special").central_binom_scaled(n))
 
 
-def _negbin_coef(n: int, x: float) -> float:
+def _negbin_coef(n: int, x):
     """(1 - theta_n(x))/2, theta_n the sum of squared Baskakov weights at x."""
     return 0.5 * (1.0 - _late("special").theta_baskakov(n, x))
 

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .operators import (FAMILY, _binomial_weights, _check_degree, _sdelta_cell,
-                        log_gamma, r_star)
+from .operators import (_KCAP, FAMILY, _binomial_weights, _check_degree,
+                        _sdelta_cell, r_star)
 
 __all__ = [
     "phi_bernstein",
@@ -138,53 +138,45 @@ def sigma_szasz(n: int, x: float) -> float:
     return acc
 
 
-#: degree n -> 2 log C(n + k - 1, k) for k = 0, 1, ..., grown by doubling as
-#: wider x ask for more terms.  Only the last degree asked for is kept: a sweep
-#: asks for one degree at a time, x ascending, and one-shot queries of many
-#: degrees would otherwise hold an array for each.
-_THETA_LOG_COEF: dict[int, np.ndarray] = {}
+def _log_products(ratios: np.ndarray) -> np.ndarray:
+    """log of the running products 1, r_1, r_1 r_2, ... of the ratios, as
+    running sums of their logs; a prefix of a longer array of ratios gives a
+    prefix of the result bit for bit."""
+    return np.concatenate(([0.0], np.cumsum(np.log(ratios))))
 
 
-def _theta_log_coef(n: int, size: int) -> np.ndarray:
-    """The x-free part 2 (lgamma(n + k) - lgamma(k + 1) - lgamma(n)) of the
-    theta terms for k < size; elementwise, so a slice equals a fresh array."""
-    coef = _THETA_LOG_COEF.get(n)
-    if coef is None or coef.size < size:
-        ks = np.arange(max(size, 2 * (0 if coef is None else coef.size)) + 0.0)
-        _THETA_LOG_COEF.clear()
-        # in place, in the order 2 (a - b - c) is evaluated, to spare memory
-        coef = log_gamma(n + ks)
-        coef -= log_gamma(ks + 1.0)
-        coef -= log_gamma(n)
-        coef *= 2.0
-        coef.flags.writeable = False
-        _THETA_LOG_COEF[n] = coef
-    return coef[:size]
-
-
-def theta_baskakov(n: int, x: float) -> float:
-    """Squared negative-binomial kernel on the diagonal, truncated below 1e-12.
+def theta_baskakov(n: int, x):
+    """Squared negative-binomial kernel on the diagonal, truncated below 1e-12,
+    at a point x or at each point of an array x.
 
     Terms are C(n+k-1, k)^2 (x/(1+x))^(2k) / (1+x)^(2n), evaluated in log
     space; the cut index comes from the underlying distribution's mean plus a
     15-sigma spread, and the geometric tail at the cut is checked against the
-    1e-12 budget.  The x-free log binomials of the last n are kept across
-    calls.
+    1e-12 budget.  An array call builds the log binomials once, up to its
+    widest cut, and gives every point its scalar value bit for bit.
     """
     _check_degree(n)
-    if _check_ray(x) == 0.0:
-        return 1.0
-    q = x / (1.0 + x)
-    mean = n * x
-    kcut = int(mean + 15.0 * math.sqrt(mean * (1.0 + x)) + 60.0)
-    ks = np.arange(kcut + 1.0)
-    logs = _theta_log_coef(n, kcut + 1) \
-        + 2.0 * ks * math.log(q) - 2.0 * n * math.log1p(x)
-    terms = np.exp(logs)
-    rho = (q * (n + kcut) / (kcut + 1.0)) ** 2
-    if not rho < 1.0 or terms[-1] * rho / (1.0 - rho) > 1e-12:
-        raise ArithmeticError(f"theta series tail not under 1e-12 at n={n}, x={x}")
-    return float(np.sum(terms))
+    xs = np.asarray(_check_ray(x), dtype=float)
+    pts = xs.reshape(-1).tolist()
+    kcuts = [int(n * v + 15.0 * math.sqrt(n * v * (1.0 + v)) + 60.0) for v in pts]
+    if max(kcuts) > _KCAP:
+        raise ArithmeticError(f"theta series exceeded the hard cap of {_KCAP} terms "
+                              f"at n={n}, x={max(pts):g}")
+    ks = np.arange(max(kcuts) + 1.0)
+    logc = _log_products((n - 1.0 + ks[1:]) / ks[1:])    # log C(n - 1 + k, k)
+    out = []
+    for v, kcut in zip(pts, kcuts):
+        if v == 0.0:
+            out.append(1.0)
+            continue
+        q = v / (1.0 + v)
+        logs = 2.0 * (logc[:kcut + 1] + ks[:kcut + 1] * math.log(q) - n * math.log1p(v))
+        terms = np.exp(logs, out=logs)
+        rho = (q * (n + kcut) / (kcut + 1.0)) ** 2
+        if not rho < 1.0 or terms[-1] * rho / (1.0 - rho) > 1e-12:
+            raise ArithmeticError(f"theta series tail not under 1e-12 at n={n}, x={v}")
+        out.append(float(np.sum(terms)))
+    return out[0] if xs.ndim == 0 else np.array(out).reshape(xs.shape)
 
 
 def psi_bbh(n: int, t: float) -> float:
@@ -193,7 +185,7 @@ def psi_bbh(n: int, t: float) -> float:
     if _check_ray(t) == 0.0:
         return 1.0
     ks = np.arange(n + 1.0)
-    logc = log_gamma(n + 1.0) - log_gamma(ks + 1.0) - log_gamma(n - ks + 1.0)
+    logc = _log_products((n + 1.0 - ks[1:]) / ks[1:])    # log C(n, k)
     logs = 2.0 * logc + 2.0 * ks * math.log(t) - 2.0 * n * math.log1p(t)
     return float(np.sum(np.exp(logs)))
 
@@ -228,7 +220,7 @@ def _check_unit(x: float) -> float:
     return x
 
 
-def _check_ray(x: float) -> float:
-    if not 0.0 <= x < math.inf:
+def _check_ray(x):
+    if not np.all(np.less_equal(0.0, x) & np.less(x, math.inf)):
         raise ValueError("argument must lie in [0, inf)")
     return x

@@ -555,15 +555,16 @@ def test_truncated_rows_carry_the_base_allowance_only(family):
 
 
 def test_wide_window_batch_forms_no_rows_by_nodes_array():
-    """A one-point baskakov:64 batch at x = 50 reads 6,710 nodes over 10
-    rows.  Forming it and reading L|f - Lf| and T(f, 1 - f) allocate less
-    than half of one (rows, nodes) array of doubles."""
+    """A one-point baskakov:64 batch at x = 50 reads the family's window,
+    6,905 nodes, over 10 rows.  Forming it and reading L|f - Lf| and
+    T(f, 1 - f) allocate less than half of one (rows, nodes) array of
+    doubles."""
     import tracemalloc
     funcs = list(standard_corpus(ops.FAMILY["baskakov"].domain).values())
     block = bnd.Block("baskakov", 64, [50.0], funcs)
     w, _, _ = ops.FAMILY["baskakov"].weights(64, 50.0, ops.TAIL_EPS)
     v = np.stack([f.values(np.arange(w.size) / 64) for f in funcs])
-    assert v.shape == (10, 6710)
+    assert v.shape == (10, w.size)
     tracemalloc.start()
     try:
         batch = bnd.Batch(block, 0, v, w[None, :])

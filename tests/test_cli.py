@@ -549,6 +549,28 @@ def test_no_process_loads_scipy_special():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--op", "baskakov:64", "--x", "1e7"],
+    ["bounds", "--op", "szasz:64", "--x", "1e7"],
+    ["special", "--fn", "theta", "--n", "64", "--xmax", "1e7"],
+], ids=["baskakov", "szasz", "theta"])
+def test_hard_cap_checked_before_allocating(argv):
+    """A truncation window or a theta series past the hard cap is refused
+    before its arrays are built.  Under a 3 GiB address-space limit the
+    command prints one error line and exits 1; building first would ask for
+    4.7 GiB (baskakov:64) or 13.7 GiB (theta) and die of a MemoryError."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+    proc = subprocess.run([sys.executable, "-m", "grusslab.cli", *argv],
+                          env=_python_env(), capture_output=True, text=True,
+                          timeout=120, preexec_fn=limit)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "hard cap" in proc.stderr, proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 class TestNumericFailurePath:
     def test_nonfinite_rhs_fails_loudly(self, tmp_path, capsys, monkeypatch):
         import dataclasses

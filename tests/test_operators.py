@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import comb, gammaln
+from scipy.special import comb
 
 from grusslab import operators as ops
 from grusslab.funcspace import standard_corpus
@@ -131,17 +131,81 @@ class TestBaskakov:
             assert abs(a - b) < 10.0 * 1e-8 * 1.0
 
 
+def _ray_window(family, n, x, tail_eps):
+    return (ops._poisson_weights(n * x, tail_eps) if family == "szasz"
+            else ops._negbin_weights(n, x, tail_eps))
+
+
+def _survival(family, n, x, k):
+    """The untruncated law's mass past k, the negative binomial's with its
+    failure probability x/(1 + x) taken directly rather than as
+    1 - 1/(1 + x), which cancels at small x."""
+    from scipy.special import betainc, gammainc
+    return gammainc(k + 1, n * x) if family == "szasz" else betainc(k + 1, n, x / (1.0 + x))
+
+
+def _quantile(family, n, x, tail_eps):
+    from scipy import stats
+    law = stats.poisson(n * x) if family == "szasz" else stats.nbinom(n, 1.0 / (1.0 + x))
+    return law.isf(tail_eps)
+
+
+def _check_tail_contract(family, n, x, w, tail, tail_eps):
+    """The window w_0..w_K leaves out at most ``tail`` <= tail_eps, and it is
+    the first cut past the mode that the geometric rule allows: one node
+    shorter, the mass left out exceeds tail_eps (1 - r), r the up ratio
+    there, so w_{K-1} r/(1 - r) > tail_eps with exact masses too.
+
+    At baskakov n = 1 the up ratio is constant, so the geometric bound is the
+    exact tail and only rounding separates the two: the masses' cumprod
+    (about w.size eps relative), 1 - r (about eps/(1 - r)) and scipy's own."""
+    k = w.size - 1
+    assert _survival(family, n, x, k) <= tail * (1.0 + 1e-12), (family, n, x, tail)
+    assert tail <= tail_eps, (family, n, x, tail)
+    mode = int(n * x) if family == "szasz" else int((n - 1) * x)
+    if k > mode:
+        p = x / (1.0 + x)
+        r = n * x / k if family == "szasz" else p * (n + k - 1.0) / k
+        assert _survival(family, n, x, k - 1) > tail_eps * (1.0 - r) * (1.0 - 1e-12), \
+            (family, n, x, k)
+
+
 @pytest.mark.parametrize("family, n, x", [("szasz", 32, 36.328125),
                                           ("baskakov", 16, 44.7265625)])
 def test_rounding_deficit_does_not_widen_window(family, n, x):
     """Here the computed masses sum to about 1 - 1.4e-12 from rounding in the
-    mode weight alone; extension cannot close that, and the window is cut at
-    the 1e-12 quantile, not at the end of the appended chunk."""
-    from scipy import stats
+    mode weight alone; the cut does not read the masses' sum, so the window
+    still ends at the 1e-12 quantile and reports a tail of at most 1e-12."""
     L = ops.point_functional(family, n, x, 1e-12)
-    law = stats.poisson(n * x) if family == "szasz" else stats.nbinom(n, 1.0 / (1.0 + x))
-    assert L.weights.size <= law.isf(1e-12) + 2, L.weights.size
-    assert 1e-12 <= L.tail_mass_bound <= 1e-11
+    w, tail = _ray_window(family, n, x, 1e-12)
+    assert w.size == L.weights.size and tail == L.tail_mass_bound
+    _check_tail_contract(family, n, x, w, tail, 1e-12)
+    assert w.size - 1 <= _quantile(family, n, x, 1e-12) + 2
+
+
+@pytest.mark.parametrize("family", ["szasz", "baskakov"])
+def test_windows_meet_the_tail_contract_on_the_sweep_grid(family):
+    """Every window of the default sweep, at its degrees and x grid, ends at
+    most two nodes past the tail_eps quantile."""
+    from grusslab.verify import SuiteConfig
+    cfg = SuiteConfig()
+    for n in cfg.degrees:
+        for x in np.linspace(0.0, cfg.x_max, cfg.x_grid):
+            w, tail = _ray_window(family, n, float(x), cfg.tail_eps)
+            _check_tail_contract(family, n, float(x), w, tail, cfg.tail_eps)
+            assert w.size - 1 <= _quantile(family, n, float(x), cfg.tail_eps) + 2, \
+                (family, n, x, w.size)
+
+
+@given(st.sampled_from(["szasz", "baskakov"]), st.integers(1, 64),
+       st.floats(0.0, 50.0, exclude_min=True), st.floats(1e-14, 1e-6))
+def test_windows_meet_the_tail_contract(family, n, x, tail_eps):
+    """Over n, x and tail_eps.  Two nodes past the quantile is not promised
+    here: where the up ratio falls slowly the geometric bound exceeds the
+    true tail by a few per cent, and baskakov:54 at x = 46.5 with tail_eps
+    8.8e-7 ends three nodes past it."""
+    w, tail = _ray_window(family, n, x, tail_eps)
+    _check_tail_contract(family, n, x, w, tail, tail_eps)
 
 
 class TestBBH:
@@ -435,29 +499,6 @@ class TestPairSumOracle:
             k[0] = 1
 
 
-class TestLogGamma:
-    def test_scalar_path_bit_equal_to_scipy(self):
-        ks = range(1, 200_001)
-        ours = np.array([ops.log_gamma(k) for k in ks])
-        assert np.array_equal(ours, gammaln(np.arange(1.0, 200_001.0)))
-        for a in (12, 13, 999, 1000, 1e8, 1e8 + 1, 3e9):
-            assert ops.log_gamma(a) == gammaln(a), a
-
-    def test_array_path_within_two_ulp(self):
-        a = np.arange(1.0, 3e6)
-        ours, ref = ops.log_gamma(a), gammaln(a)
-        assert np.all(np.abs(ours - ref) <= 2.0 * np.spacing(ref))
-        wide = np.array([[1.0, 12.0, 13.0], [1000.0, 1e8, 1e8 + 1.0]])
-        assert np.array_equal(ops.log_gamma(wide), gammaln(wide))
-
-    @pytest.mark.parametrize("a", [0, -1, 0.5, math.nan, math.inf])
-    def test_outside_the_domain_raises(self, a):
-        with pytest.raises(ValueError):
-            ops.log_gamma(a)
-        with pytest.raises(ValueError):
-            ops.log_gamma(np.array([2.0, a, 3.0]))
-
-
 class TestPointFunctionalInvariants:
     @given(st.sampled_from(sorted(FAMILY_BUILDERS)), st.integers(1, 32),
            st.floats(0.0, 0.999))
@@ -511,43 +552,42 @@ class TestInputChecks:
             ops.measure_example_T(1.5, e1, e1)
 
     def test_truncation_hard_cap(self, monkeypatch):
-        # masses 0.01 * 0.99^k sum to 1 only after about 2,750 terms; each
-        # extension gains enough to go on, so the window grows past the cap
+        # masses 0.01 * 0.99^k leave out less than 1e-12 only after about
+        # 2,750 terms; the pass that would reach past the cap is never built
         monkeypatch.setattr(ops, "_KCAP", 100)
-        w = 0.01 * 0.99 ** np.arange(4.0)
+        ends = []
+
+        def up_ratio(k):
+            ends.append(k[-1] + 1.0)
+            return np.full(k.shape, 0.99)
         with pytest.raises(ArithmeticError, match="hard cap"):
-            ops._truncate(w, 1e-12, lambda k: np.full(k.shape, 0.99))
+            ops._ratio_window(math.log(0.01), 0, 4, up_ratio, None, 1e-12)
+        assert 0 < max(ends) <= 100
 
-    @staticmethod
-    def _truncations(monkeypatch, build):
-        """(window in, window out) of every _truncate call a build makes."""
-        seen, truncate = [], ops._truncate
+    def test_truncation_hard_cap_before_any_array(self, monkeypatch):
+        # a mode past the cap is refused before a ratio is taken
+        monkeypatch.setattr(ops, "_KCAP", 100)
 
-        def spy(w, tail_eps, up_ratio):
-            out = truncate(w, tail_eps, up_ratio)
-            seen.append((w, out[0]))
-            return out
-        monkeypatch.setattr(ops, "_truncate", spy)
-        build()
-        return seen
-
-    def test_truncation_skips_a_tail_below_rounding(self, monkeypatch):
-        # baskakov:64 at x = 30 falls short of 1 by the mode weight's
-        # rounding alone; its geometric tail bound is below a quarter ulp of
-        # the window's mass, so the window is cut in place, not first grown
-        [(w, out)] = self._truncations(monkeypatch,
-                                       lambda: ops._negbin_weights(64, 30.0, 1e-12))
-        assert 1.0 - np.sum(w) > 1e-12
-        assert np.shares_memory(out, w)
+        def never(_k):
+            raise AssertionError("built a ratio array past the cap")
+        with pytest.raises(ArithmeticError, match="hard cap"):
+            ops._ratio_window(0.0, 101, 200, never, never, 1e-12)
 
     def test_truncation_still_extends_a_real_tail(self, monkeypatch):
-        # baskakov:1 at x = 25 leaves a true tail of about 1e-8 beyond its
-        # initial window, so the window grows
-        [(w, out)] = self._truncations(monkeypatch,
-                                       lambda: ops._negbin_weights(1, 25.0, 1e-12))
-        assert out.size > w.size
-        assert not np.shares_memory(out, w)
-        assert 1.0 - np.sum(out) <= 1e-11
+        # baskakov:1 at x = 25 has a geometric tail of ratio 25/26; past its
+        # first reach it still leaves out about 1e-8, so a second pass runs
+        passes, window = [], ops._ratio_window
+
+        def spy(log_wm, mode, reach, up_ratio, down_ratio, tail_eps):
+            def counted(k):
+                passes.append((k[0], k[-1] + 1.0))
+                return up_ratio(k)
+            return window(log_wm, mode, reach, counted, down_ratio, tail_eps)
+        monkeypatch.setattr(ops, "_ratio_window", spy)
+        w, tail = ops._negbin_weights(1, 25.0, 1e-12)
+        assert len(passes) == 2 and passes[1][0] == passes[0][1]
+        assert passes[0][1] < w.size - 1 <= passes[1][1]
+        _check_tail_contract("baskakov", 1, 25.0, w, tail, 1e-12)
 
 
 class TestOperatorSpec:

@@ -223,43 +223,35 @@ class TestTheta:
         vals = [sp.theta_baskakov(3, x) for x in (10, 20, 40, 80)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
-    def test_cached_log_binomials_bit_identical(self, monkeypatch):
-        """The per-degree cache of the x-free part gives the uncached
-        expression bit for bit, whichever x first sized the cache."""
-        from scipy.special import gammaln
-
-        def uncached(n, x):
-            if x == 0.0:
-                return 1.0
-            q = x / (1.0 + x)
-            mean = n * x
-            kcut = int(mean + 15.0 * math.sqrt(mean * (1.0 + x)) + 60.0)
-            ks = np.arange(kcut + 1.0)
-            logs = 2.0 * (gammaln(n + ks) - gammaln(ks + 1.0) - gammaln(n)) \
-                + 2.0 * ks * math.log(q) - 2.0 * n * math.log1p(x)
-            return float(np.sum(np.exp(logs)))
-
-        monkeypatch.setattr(sp, "_THETA_LOG_COEF", {})
+    def test_array_call_gives_each_point_its_scalar_value(self):
+        """One array call builds the log binomials up to its widest cut; each
+        point's value is its scalar call's bit for bit, in any order."""
         xs = np.linspace(0.0, 50.0, 41)
-        order = np.random.default_rng(7).permutation(xs.size)
-        for n in range(1, 65):
-            # ascending x grows the cache step by step, shuffled x out of order
-            for x in (xs if n % 2 else xs[order]):
-                assert sp.theta_baskakov(n, float(x)) == uncached(n, float(x)), (n, x)
-            assert list(sp._THETA_LOG_COEF) == [n]
-
-    def test_log_binomials_near_exact(self, monkeypatch):
-        """The cached 2 log C(n+k-1, k), halved, lies within 4 eps (lgamma(n+k)
-        + 1) of the exact log C(n+k-1, k); scipy's gammaln reaches 2.35 in
-        these units, as does log_gamma."""
-        monkeypatch.setattr(sp, "_THETA_LOG_COEF", {})
-        size = 10_000
+        xs = xs[np.random.default_rng(7).permutation(xs.size)]
         for n in (1, 2, 3, 16, 37, 64):
-            coef = sp._theta_log_coef(n, size)
-            for k in range(size):
-                exact = math.log(math.comb(n + k - 1, k))
-                unit = np.finfo(float).eps * (math.lgamma(n + k) + 1.0)
-                assert abs(0.5 * coef[k] - exact) <= 4.0 * unit, (n, k)
+            vals = sp.theta_baskakov(n, xs)
+            assert vals.shape == xs.shape
+            for x, v in zip(xs, vals):
+                assert v == sp.theta_baskakov(n, float(x)), (n, x)
+        assert isinstance(sp.theta_baskakov(3, 2.0), float)
+
+    def test_matches_squared_negbin_masses(self):
+        """Within 1e-11 relative of the sum of scipy's squared negative
+        binomial masses, taken far past theta's own cut."""
+        from scipy import stats
+        xs = np.linspace(0.25, 50.0, 34)
+        for n in (1, 2, 3, 16, 37, 64):
+            vals = sp.theta_baskakov(n, xs)
+            for x, v in zip(xs, vals):
+                law = stats.nbinom(n, 1.0 / (1.0 + x))
+                pmf = law.pmf(np.arange(law.isf(1e-20) + 1.0))
+                want = float(pmf @ pmf)
+                assert abs(v - want) <= 1e-11 * want, (n, x, v, want)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, math.inf])
+    def test_bad_point_inside_an_array_raises(self, bad):
+        with pytest.raises(ValueError, match="argument must lie"):
+            sp.theta_baskakov(4, np.array([0.5, bad, 2.0]))
 
 
 class TestPsi:
@@ -278,6 +270,13 @@ class TestPsi:
                 t = float(t)
                 assert sp.psi_bbh(n, t) == pytest.approx(
                     sp.phi_bernstein(n, t / (1 + t)), abs=1e-10)
+
+    def test_matches_phi_relative(self):
+        for n in (1, 2, 3, 9, 16, 32, 64):
+            for t in np.linspace(0.0, 200.0, 81)[1:]:
+                t = float(t)
+                want = sp.phi_bernstein(n, t / (1 + t))
+                assert abs(sp.psi_bbh(n, t) - want) <= 1e-12 * want, (n, t)
 
     def test_infimum_is_central_binom(self):
         for n in (1, 4, 16):
