@@ -114,7 +114,13 @@ def _per_x(a) -> np.ndarray:
 
 
 def allowance(lhs, rhs, extra=0.0):
-    """Declared slack of one margin check: 1e-9 relative plus ``extra``."""
+    """Declared slack of one margin check: 1e-9 relative plus ``extra``.
+
+    Its floor is BASE_REL_TOL: where ``extra`` >= 0 and lhs and rhs are
+    finite the allowance is at least that, so a finite margin of at least
+    -BASE_REL_TOL passes whatever lhs and rhs are.  The sweep forms the
+    allowance only where a margin falls below that or a term is not finite.
+    """
     return BASE_REL_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))) + extra
 
 
@@ -201,8 +207,7 @@ class Batch:
     @functools.cached_property
     def env_moment(self) -> np.ndarray:
         """Envelopes at the second-moment step 2 sqrt(M2(x)), per x and row."""
-        m2 = np.array([self.block.fam.second_moment(self.block.n, float(x))
-                       for x in self.xs])
+        m2 = self.block.fam.second_moment(self.block.n, self.xs)
         return self.block.envelopes(2.0 * np.sqrt(np.maximum(m2, 0.0))).T
 
     def anti_t(self, i: int) -> np.ndarray:
@@ -296,44 +301,50 @@ class Block:
 
     def _point_batches(self):
         """Consecutive x grouped while the widest of their node arrays fits
-        the budget: every node of a fixed-node family, the window of a
-        truncated one."""
-        fam, n, eps, truncated = self.fam, self.n, self.tail_eps, self.fam.truncated
-        v = np.empty((len(self.funcs), 0))
-        if truncated:
-            # node values k/n, widened in steps of 256 nodes as the windows grow
-            size = fam.weights(n, float(self.xs[-1]), eps)[0].size + 8
-        else:
+        the budget: every node of a fixed-node family, whose weights come in
+        one call per batch, the window of a truncated one, built per x."""
+        fam, n, eps = self.fam, self.n, self.tail_eps
+        if not fam.truncated:
             v = _rows_at(self.funcs, fam.nodes(n))
+            size = self._batch_len(v.shape[1])
+            for start in range(0, len(self.xs), size):
+                xs = self.xs[start:start + size]
+                self.x_span = (float(xs[0]), float(xs[-1]))
+                w, _, spans = fam.weights(n, xs, eps)
+                yield Batch(self, start, v, w,
+                            osc=None if spans is None else _span_osc(v, spans))
+            return
+        # node values k/n, sized from the last x's window, which an error
+        # there names, and widened in steps of 256 nodes as the windows grow
+        last = float(self.xs[-1])
+        self.x_span = (last, last)
+        size = fam.weights(n, last, eps)[0].size + 8
+        v = np.empty((len(self.funcs), 0))
         start, points, widest = 0, [], 0
         for ix, x in enumerate(self.xs):
             self.x_span = (float(self.xs[start]), float(x))
             w, _, span = fam.weights(n, float(x), eps)
-            width = w.size if truncated else v.shape[1]
-            if points and len(points) + 1 > self._batch_len(max(widest, width)):
-                yield self._batch(start, v, points, widest)
+            if points and len(points) + 1 > self._batch_len(max(widest, w.size)):
+                yield self._window_batch(start, v, points, widest)
                 start, points, widest = ix, [], 0
                 self.x_span = (float(x), float(x))
             points.append((w, span))
-            widest = max(widest, width)
-            if truncated and w.size > v.shape[1]:
+            widest = max(widest, w.size)
+            if w.size > v.shape[1]:
                 size = max(size, w.size) + 256
                 v = _rows_at(self.funcs, np.arange(size) / n)
-        yield self._batch(start, v, points, widest)
+        yield self._window_batch(start, v, points, widest)
 
-    def _batch(self, start: int, v: np.ndarray, points, width: int) -> Batch:
-        """A batch of ``(w, span)`` points: each w placed at its span of a
-        zero-padded (batch, width) array, with oscillations over each span
-        unless every point reads every node."""
+    def _window_batch(self, start: int, v: np.ndarray, points, width: int) -> Batch:
+        """A batch of truncated windows ``(w, span)``: each w placed at its
+        span of a zero-padded (batch, width) array, with oscillations over
+        each span."""
         self.x_span = (float(self.xs[start]), float(self.xs[start + len(points) - 1]))
-        spans = [(0, w.size) if span is None else span for w, span in points]
         w = np.zeros((len(points), width))
-        for b, ((wb, _), (lo, hi)) in enumerate(zip(points, spans)):
+        for b, (wb, (lo, hi)) in enumerate(points):
             w[b, lo:hi] = wb
-        osc = None
-        if any(span is not None for _, span in points):
-            osc = _span_osc(v, spans)
-        return Batch(self, start, v[:, :width], w, osc=osc)
+        return Batch(self, start, v[:, :width], w,
+                     osc=_span_osc(v, [span for _, span in points]))
 
     def _measure_batches(self):
         xq, sw = ops.simpson_weights(self.quad_n)
@@ -349,9 +360,11 @@ class Block:
             yield Batch(self, start, t=lfg - _col(lf) * _row(lf), osc=self.grid_osc)
 
     def evaluate(self, batch: Batch):
-        """(row, lower, margin, allowance) for every row over a batch, each
-        (batch, rows, rows); ``lower`` is |T|, or for a lattice row the rhs it
-        must stay above."""
+        """(row, lower, upper, extra) for every row over a batch: ``lower`` is
+        |T|, or for a lattice row the rhs it must stay above, ``upper`` the
+        rhs, (batch, rows, rows) or broadcasting to it, and ``extra`` the
+        row's summed slack terms, 0.0 or an array that broadcasts to that
+        shape.  A check's allowance is ``allowance(lower, upper, extra)``."""
         shape = batch.lhs.shape
         rhs, slack = {}, {}
         for row in self.rows:
@@ -366,7 +379,7 @@ class Block:
                 if term not in slack:
                     slack[term] = term(batch)
                 extra = extra + slack[term]
-            yield row, lower, upper - lower, allowance(lower, upper, extra)
+            yield row, lower, upper, extra
 
     def one_shot(self, operator: str, batch: Batch) -> BoundResult:
         """What ``bounds`` prints for corpus rows 0 and 1 at a batch's first

@@ -149,24 +149,27 @@ def parse_operator_spec(text: str) -> OperatorSpec:
 # weight builders
 
 
-def _binomial_weights(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) masses by symmetric multiplicative ratio recurrence."""
-    if not 0.0 <= p <= 1.0:
+def _binomial_weights(n: int, p) -> np.ndarray:
+    """Binomial(n, p) masses by symmetric multiplicative ratio recurrence, at
+    a parameter p, or one row per entry of an array p.
+
+    Each row runs the recurrence from the end of the smaller of p and 1 - p
+    and is reversed where p > 1/2; q^n is a Python float power per entry,
+    because numpy's array power rounds differently from it.
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError("binomial parameter must lie in [0, 1]")
-    w = np.zeros(n + 1)
-    if p == 0.0:
-        w[0] = 1.0
-        return w
-    if p == 1.0:
-        w[n] = 1.0
-        return w
-    if p <= 0.5:
-        q = 1.0 - p
-        ratios = (p / q) * (n - np.arange(n)) / np.arange(1.0, n + 1)
-        w = q ** n * np.concatenate(([1.0], np.cumprod(ratios)))
-    else:
-        w = _binomial_weights(n, 1.0 - p)[::-1].copy()
-    return w
+    flip = p.reshape(-1) > 0.5
+    s = np.where(flip, 1.0 - p.reshape(-1), p.reshape(-1))
+    q = 1.0 - s
+    ratios = (s / q)[:, None] * (n - np.arange(n)) / np.arange(1.0, n + 1)
+    w = np.empty((s.size, n + 1))
+    w[:, 0] = 1.0
+    np.cumprod(ratios, axis=1, out=w[:, 1:])
+    w *= np.array([v ** n for v in q.tolist()])[:, None]
+    w[flip] = w[flip, ::-1]
+    return w.reshape(p.shape + (n + 1,))
 
 
 #: the most nodes a truncation window, or terms a theta series, may reach
@@ -238,39 +241,46 @@ def _negbin_weights(n: int, x: float, tail_eps: float) -> tuple[np.ndarray, floa
 # the family table
 
 
-def _sdelta_cell(n: int, x: float) -> tuple[int, float]:
-    """Knot cell and local coordinate for piecewise-linear interpolation.
+def _sdelta_cell(n: int, x):
+    """Knot cell and local coordinate for piecewise-linear interpolation, at
+    a point x, or as two arrays at each point of an array x.
 
     Returns (k, u) with x = (k + u)/n, u in [0, 1); u snaps to the nearest
     knot when n*x sits within a few ulps of an integer so that knot hits stay
     exact interpolation.
     """
-    m = n * x
-    k = int(math.floor(m))
+    m = n * np.asarray(x, dtype=float)
+    k = np.floor(m)
     u = m - k
-    snap = 32.0 * np.finfo(float).eps * max(1.0, abs(m))
-    if u <= snap and k >= 0:
-        return k, 0.0
-    if 1.0 - u <= snap:
-        return k + 1, 0.0
-    return k, u
+    snap = 32.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(m))
+    low = (u <= snap) & (k >= 0)
+    high = ~low & (1.0 - u <= snap)
+    k, u = (k + high).astype(int), np.where(low | high, 0.0, u)
+    if np.ndim(x):
+        return k, u
+    return int(k), float(u)
 
 
-def r_star(n: int, x: float) -> float:
-    """Reparameterization making the Bernstein-type family reproduce e2."""
+def r_star(n: int, x):
+    """Reparameterization making the Bernstein-type family reproduce e2, at
+    a point x or at each point of an array x."""
     _check_degree(n)
-    if not 0.0 <= x <= 1.0:
+    x = np.asarray(x, dtype=float)
+    if not np.all((0.0 <= x) & (x <= 1.0)):
         raise ValueError("r_star requires x in [0, 1]")
     if n == 1:
         r = x * x
     else:
         c = 1.0 / (2.0 * (n - 1.0))
-        r = -c + math.sqrt((n / (n - 1.0)) * x * x + c * c)
-    r = min(max(r, 0.0), 1.0)
+        r = -c + np.sqrt((n / (n - 1.0)) * x * x + c * c)
+    r = np.minimum(np.maximum(r, 0.0), 1.0)
     residual = r / n + ((n - 1.0) / n) * r * r - x * x
-    if abs(residual) > 1e-12:
-        raise ArithmeticError(f"r_star residual {residual} at n={n}, x={x}")
-    return r
+    far = np.abs(residual) > 1e-12
+    if far.any():
+        i = np.argmax(far.reshape(-1))
+        raise ArithmeticError(f"r_star residual {residual.reshape(-1)[i]} "
+                              f"at n={n}, x={x.reshape(-1)[i]}")
+    return r if r.ndim else float(r)
 
 
 @dataclass(frozen=True)
@@ -281,8 +291,12 @@ class Family:
     k/n over a window cut at a declared tail mass.  ``weights(n, x,
     tail_eps)`` returns ``(w, tail, span)``: the weights at x, the tail mass
     they leave out, and the index range [lo, hi) of the node array that ``w``
-    covers when it covers only part of it (None: every node).  A truncated
-    family's window weights come divided by their sum; ``tail`` is an upper
+    covers when it covers only part of it (None: every node).  A fixed-node
+    family's ``weights`` also take an array x, one call per batch of points:
+    ``w`` is then (points, nodes), each row the bits of its point call laid
+    over every node, zero off its span, and ``span`` is None or the (points,
+    2) array of those spans.  A truncated family's weights take a point only;
+    its window weights come divided by their sum, and ``tail`` is an upper
     bound, at most tail_eps, on the mass of the untruncated operator that the
     window left out.  ``signed`` weights may be negative.  A ``one_point``
     family takes a parameter a in [0, 1] in place of x, has no degree (n = 1)
@@ -291,9 +305,9 @@ class Family:
 
     The bound table reads closed forms, None where none is stated: ``coef(n)``
     majorizes (1 - sum w^2)/2 at every x, ``coef_at(n, x)`` at x, a point or
-    an array of points, where that depends on x; ``second_moment(n, x)`` is
-    L((e1 - x)^2); ``ws_step(n)``, the classical x-free step, is at least
-    2 sqrt(second_moment) at every x.
+    an array of points, where that depends on x; ``second_moment(n, x)``, at
+    a point or an array of points, is L((e1 - x)^2); ``ws_step(n)``, the
+    classical x-free step, is at least 2 sqrt(second_moment) at every x.
     """
 
     domain: tuple[float, float]
@@ -327,12 +341,21 @@ def _unit_nodes(n: int) -> np.ndarray:
     return np.arange(n + 1) / n
 
 
-def _hat_weights(n: int, x: float, _tail_eps: float):
-    """sdelta masses on the one knot x hits, or on the two knots around x."""
-    k, u = _sdelta_cell(n, x)
-    if u == 0.0:
-        return np.array([1.0]), 0.0, (k, k + 1)
-    return np.array([1.0 - u, u]), 0.0, (k, k + 2)
+def _hat_weights(n: int, x, _tail_eps: float):
+    """sdelta masses on the one knot x hits, or on the two knots around x.
+    An array x gives one row per point over all n + 1 knots, zero off its
+    span, and the spans as a (points, 2) array."""
+    k, u = _sdelta_cell(n, np.reshape(x, -1))
+    two = u != 0.0
+    w = np.zeros((k.size, n + 1))
+    rows = np.arange(k.size)
+    w[rows, k] = 1.0 - u
+    w[rows[two], k[two] + 1] = u[two]
+    spans = np.stack([k, k + 1 + two], axis=1)
+    if np.ndim(x):
+        return w, 0.0, spans
+    lo, hi = spans[0].tolist()
+    return w[0, lo:hi], 0.0, (lo, hi)
 
 
 def _window(w: np.ndarray, tail: float):
@@ -355,8 +378,8 @@ def _negbin_coef(n: int, x):
     return 0.5 * (1.0 - _late("special").theta_baskakov(n, x))
 
 
-def _hat_moment(n: int, x: float) -> float:
-    """u(1 - u)/n^2 at x = (k + u)/n."""
+def _hat_moment(n: int, x):
+    """u(1 - u)/n^2 at x = (k + u)/n, a point or an array of points."""
     _, u = _sdelta_cell(n, x)
     return u * (1.0 - u) / (n * n)
 
@@ -377,9 +400,10 @@ FAMILY = {
     "king": Family(_UNIT, _unit_nodes,
                    lambda n, x, _eps: (_binomial_weights(n, r_star(n, x)), 0.0, None),
                    coef=degree_coefficient,
-                   second_moment=lambda n, x: max(0.0, 2.0 * x * (x - r_star(n, x)))),
+                   second_moment=lambda n, x: np.maximum(0.0,
+                                                         2.0 * x * (x - r_star(n, x)))),
     "two_point": Family(_UNIT, lambda _n: np.array([0.0, 1.0]),
-                        lambda _n, a, _eps: (np.array([1.0 - a, a]), 0.0, None),
+                        lambda _n, a, _eps: (np.stack([1.0 - a, a], -1), 0.0, None),
                         one_point=True),
     "measure_example": Family(_UNIT, one_point=True),
     "szasz": Family(_RAY, None,

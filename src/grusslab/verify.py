@@ -155,24 +155,44 @@ def one_shot_bounds(spec: ops.OperatorSpec, x: float, f: RealFunction,
 
 
 class _RowMargins:
-    """One table row's (batch, rows, rows) margins over a batch, reduced per
-    x in one array pass: each x's flat C-order argmin and its minimum, and for
-    a gated row the failure mask and its count per x.  The per-x values are
-    lists, which :meth:`_Accum.update` reads without a numpy call."""
+    """One table row's (batch, rows, rows) margins upper - lower over a
+    batch, reduced per x in one array pass: each x's flat C-order argmin and
+    its minimum, and for a gated row that can fail the allowance, the failure
+    mask and its count per x.  The per-x values are lists, which
+    :meth:`_Accum.update` reads without a numpy call.
 
-    def __init__(self, row: bnd.Bound, lower: np.ndarray, margins: np.ndarray,
-                 allow: np.ndarray):
+    A gated row can fail only where a margin is below -BASE_REL_TOL or not
+    finite, or where its slack ``extra`` is negative or not finite: otherwise
+    every allowance is at least BASE_REL_TOL (:func:`bounds.allowance`).
+    Those tests reduce the whole batch with numpy, which carries a NaN
+    through, never with Python's min, which can drop one; a row that passes
+    them keeps ``allow``, ``bad`` and ``bad_count`` None.
+    """
+
+    def __init__(self, row: bnd.Bound, lower: np.ndarray, upper, extra):
         self.bound = row.name
-        self.lower, self.margins, self.allow = lower, margins, allow
+        self.lower = lower
+        self.margins = margins = upper - lower
         flat = margins.reshape(len(margins), -1)
         self.size = flat.shape[1]
         # argmin stops at the first NaN and min returns it: both name one cell
         self.argmin = flat.argmin(axis=1).tolist()
-        self.min = flat.min(axis=1).tolist()
-        self.bad = self.bad_count = None
-        if row.gated:
-            self.bad = ~((margins + allow >= 0.0) & np.isfinite(margins))
+        mins = flat.min(axis=1)
+        self.min = mins.tolist()
+        self.allow = self.bad = self.bad_count = None
+        if row.gated and not (mins.min() >= -bnd.BASE_REL_TOL
+                              and flat.max() < math.inf and _finite_nonnegative(extra)):
+            self.allow = bnd.allowance(lower, upper, extra)
+            self.bad = ~((margins + self.allow >= 0.0) & np.isfinite(margins))
             self.bad_count = self.bad.reshape(len(margins), -1).sum(axis=1).tolist()
+
+
+def _finite_nonnegative(a) -> bool:
+    """Whether a, a float or an array, is finite and at least 0 throughout;
+    a NaN is neither, and fails every comparison here."""
+    if isinstance(a, float):
+        return 0.0 <= a < math.inf
+    return bool(a.min() >= 0.0 and a.max() < math.inf)
 
 
 class _Accum:

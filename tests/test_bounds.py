@@ -415,7 +415,9 @@ def _batched_rows(block):
     """name -> list over x of (lower, margin, allowance), from the batches."""
     out = {}
     for batch in block.batches():
-        for row, lower, margin, allow in block.evaluate(batch):
+        for row, lower, upper, extra in block.evaluate(batch):
+            margin = upper - lower
+            allow = np.broadcast_to(bnd.allowance(lower, upper, extra), lower.shape)
             for b in range(len(batch.xs)):
                 out.setdefault(row.name, []).append((lower[b], margin[b], allow[b]))
     return out
@@ -545,11 +547,12 @@ def test_truncated_rows_carry_the_base_allowance_only(family):
     gated = set()
     for batch in block.batches():
         rhs = {row.name: row.rhs(batch) for row in block.rows if row.lattice is None}
-        for row, lower, _, allow in block.evaluate(batch):
+        for row, lower, upper, extra in block.evaluate(batch):
             if row.gated:
                 gated.add(row.name)
-                upper = rhs[row.name if row.lattice is None else row.lattice[0]]
-                assert np.array_equal(allow, bnd.allowance(lower, upper)), row.name
+                want = rhs[row.name if row.lattice is None else row.lattice[0]]
+                assert np.array_equal(bnd.allowance(lower, upper, extra),
+                                      bnd.allowance(lower, want)), row.name
     assert gated == {"new_osc", "new_osc_family", "lattice_family_vs_new",
                      "gruss_quarter", "mercer", "lattice_gruss_vs_mercer"}
 

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import comb
 
+from grusslab import lagrange as lag
 from grusslab import operators as ops
 from grusslab.funcspace import standard_corpus
 
@@ -626,3 +627,133 @@ def test_chebyshev_monotone_signs(corpus01):
     for a in (0.2, 0.5, 0.9):
         assert ops.chebyshev_T(ops.two_point(a), e1, anti) == \
             pytest.approx(-a * (1 - a), abs=1e-15)
+
+
+#: the families with fixed nodes, whose weights take an array of points
+FIXED_NODE = [name for name, fam in ops.FAMILY.items()
+              if fam.nodes is not None and fam.weights is not None]
+
+
+def _assert_rows_are_point_calls(family, n, xs):
+    """One array call of the family's weights against a point call per x:
+    each row holds the point's weights bit for bit at its span, zero off it."""
+    fam = ops.FAMILY[family]
+    xs = np.asarray(xs, dtype=float)
+    w, tail, spans = fam.weights(n, xs, ops.TAIL_EPS)
+    size = fam.nodes(n).size
+    assert w.shape == (xs.size, size) and tail == 0.0
+    for b, x in enumerate(xs.tolist()):
+        wx, tx, span = fam.weights(n, x, ops.TAIL_EPS)
+        assert wx.ndim == 1 and tx == 0.0, (family, n, x)
+        lo, hi = (0, size) if span is None else span
+        assert (spans is None) == (span is None), (family, n, x)
+        if spans is not None:
+            assert tuple(spans[b].tolist()) == (lo, hi), (family, n, x)
+        assert w[b, lo:hi].tobytes() == wx.tobytes(), (family, n, x)
+        assert not w[b, :lo].any() and not w[b, hi:].any(), (family, n, x)
+
+
+def _sweep_points(family):
+    from grusslab.verify import SuiteConfig, _x_grid
+    cfg = SuiteConfig()
+    corpus = standard_corpus(ops.FAMILY[family].domain, cfg.seed, cfg.x_max)
+    return _x_grid(next(iter(corpus.values())), cfg), cfg
+
+
+@pytest.mark.parametrize("family", FIXED_NODE)
+def test_array_weights_are_point_calls_on_the_sweep(family):
+    """Every default degree over the sweep's 257 points."""
+    xs, cfg = _sweep_points(family)
+    for n in (1,) if ops.FAMILY[family].one_point else cfg.degrees:
+        _assert_rows_are_point_calls(family, n, xs)
+
+
+def test_point_helpers_take_arrays_on_the_sweep():
+    """r_star, the sdelta cell and every closed-form second moment: an array
+    call gives each point's value bit for bit; a point call of r_star gives a
+    float, and of the cell an (int, float) pair."""
+    xs, cfg = _sweep_points("bernstein")
+    moments = {name: (fam.second_moment, _sweep_points(name)[0])
+               for name, fam in ops.FAMILY.items() if fam.second_moment is not None}
+    for n in cfg.degrees:
+        want = np.array([ops.r_star(n, float(x)) for x in xs])
+        assert ops.r_star(n, xs).tobytes() == want.tobytes(), n
+        assert type(ops.r_star(n, 0.3)) is float
+        k, u = ops._sdelta_cell(n, xs)
+        cells = [ops._sdelta_cell(n, float(x)) for x in xs]
+        assert k.tolist() == [c[0] for c in cells], n
+        assert u.tobytes() == np.array([c[1] for c in cells]).tobytes(), n
+        assert all(type(c[0]) is int and type(c[1]) is float for c in cells)
+        for family, (moment, pts) in moments.items():
+            want = np.array([moment(n, float(x)) for x in pts])
+            assert moment(n, pts).tobytes() == want.tobytes(), (family, n)
+
+
+def _cell_reference(n, x):
+    m = n * x
+    k = math.floor(m)
+    u = m - k
+    snap = 32.0 * np.finfo(float).eps * max(1.0, abs(m))
+    if u <= snap and k >= 0:
+        return k, 0.0
+    if 1.0 - u <= snap:
+        return k + 1, 0.0
+    return k, u
+
+
+def test_point_helpers_keep_float_arithmetic():
+    """The helpers' numpy body gives a point the bits of plain float
+    arithmetic: the binomial end mass is the Python power q^n, r_star the
+    correctly rounded root, the sdelta cell floor(n x) with its snap, at the
+    sweep's points and at knots moved by 1 to 40 ulps."""
+    xs, cfg = _sweep_points("bernstein")
+    for n in cfg.degrees:
+        knots = [_unit_point(("knot", k, j), n)
+                 for k in range(n + 1) for j in (-40, -24, -8, -1, 1, 8, 24, 40)]
+        for x in xs.tolist() + knots:
+            s = min(x, 1.0 - x)
+            w = ops._binomial_weights(n, x)
+            assert w[0 if x <= 0.5 else n] == (1.0 - s) ** n, (n, x)
+            c = 1.0 / (2.0 * (n - 1.0)) if n > 1 else 0.0
+            r = x * x if n == 1 else -c + math.sqrt((n / (n - 1.0)) * x * x + c * c)
+            assert ops.r_star(n, x) == min(max(r, 0.0), 1.0), (n, x)
+            assert ops._sdelta_cell(n, x) == _cell_reference(n, x), (n, x)
+
+
+def _unit_point(pick, n):
+    """A point of [0, 1]: a float as is, ('knot', k, j) the knot k/n moved by
+    j ulps, ('cheb', i) a Chebyshev node of degree n mapped from [-1, 1]."""
+    if isinstance(pick, float):
+        return pick
+    if pick[0] == "knot":
+        x = min(pick[1], n) / n
+        for _ in range(abs(pick[2])):
+            x = math.nextafter(x, math.copysign(math.inf, pick[2]))
+        return min(max(x, 0.0), 1.0)
+    return 0.5 * (1.0 + float(lag.chebyshev_grid(n).nodes[pick[1] % n]))
+
+
+@given(st.integers(1, 64), st.lists(st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.floats(0.0, 1.0),
+    st.tuples(st.just("knot"), st.integers(0, 64), st.integers(-48, 48)),
+    st.tuples(st.just("cheb"), st.integers(0, 63))), min_size=1, max_size=12))
+def test_array_weights_are_point_calls(n, picks):
+    """x = 0, 1/2 and 1, sdelta knots moved by up to 48 ulps, in and past
+    the snap, and Chebyshev node hits (in [-1, 1] for lagrange_cheb); bbh
+    reads 50 x, so most of its points have p = x/(1 + x) above 1/2, and
+    x = 1, where p is 1/2."""
+    unit = np.array([_unit_point(p, n) for p in picks])
+    nodes = lag.chebyshev_grid(n).nodes
+    cheb = np.array([float(nodes[p[1] % n]) if isinstance(p, tuple) and p[0] == "cheb"
+                     else 2.0 * x - 1.0 for p, x in zip(picks, unit)])
+    points = {"bbh": np.append(50.0 * unit, 1.0), "lagrange_cheb": cheb}
+    for family in FIXED_NODE:
+        degree = 1 if ops.FAMILY[family].one_point else n
+        _assert_rows_are_point_calls(family, degree, points.get(family, unit))
+    assert ops.r_star(n, unit).tobytes() == np.array(
+        [ops.r_star(n, float(x)) for x in unit]).tobytes()
+    k, u = ops._sdelta_cell(n, unit)
+    assert list(zip(k.tolist(), u.tolist())) == [ops._sdelta_cell(n, float(x))
+                                                for x in unit]
+

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grusslab import operators as ops
 from grusslab.verify import (SuiteConfig, conjecture_scan, run_suite,
@@ -106,7 +109,7 @@ def test_rows_match_the_coverage_spec_exactly(family):
 def _butzer_weights(n, x, _tail_eps):
     """2 B_2n - B_n at x on the nodes k/(2n): B_n's node j/n is node 2j."""
     w = 2.0 * ops._binomial_weights(2 * n, x)
-    w[::2] -= ops._binomial_weights(n, x)
+    w[..., ::2] -= ops._binomial_weights(n, x)
     return w, 0.0, None
 
 
@@ -265,9 +268,10 @@ class TestBatchIndependence:
             for batch, rows in evaluated:
                 for lo in range(0, len(batch.xs), size):
                     part = slice(lo, lo + size)
-                    reduced = [verify._RowMargins(row, lower[part], margins[part],
-                                                  allow[part])
-                               for row, lower, margins, allow in rows]
+                    reduced = [verify._RowMargins(
+                        row, lower[part], np.broadcast_to(upper, lower.shape)[part],
+                        np.broadcast_to(extra, lower.shape)[part])
+                               for row, lower, upper, extra in rows]
                     for b, x in enumerate(batch.xs[part]):
                         for row in reduced:
                             acc.update(row, b, x, block.names)
@@ -395,6 +399,140 @@ class TestSweepBlockErrors:
         assert err["error_type"] == "ArithmeticError" and err["message"] == "past 40"
         assert tuple(err["x_range"]) == spans[-1]
         assert spans[-2][1] <= 40.0 < spans[-1][1]
+
+    def test_error_sizing_the_first_window_names_its_point(self):
+        # the windows are sized from the last x before any batch is formed;
+        # at x = 1e7 that window passes the hard cap
+        rep = run_suite(SuiteConfig(families=("szasz", "baskakov"), degrees=(64,),
+                                    x_grid=5, x_max=1e7, grid_n=101, conjecture_nmax=2))
+        assert rep.suites["bound_sweep"]["block_errors"] == [{
+            "operator": family, "n": 64, "x_range": [1e7, 1e7],
+            "error_type": "ArithmeticError",
+            "message": "truncation window exceeded the hard cap"}
+            for family in ("szasz", "baskakov")]
+
+
+class TestAllowanceGate:
+    """A gated row forms its allowance and failure mask only where a margin
+    can fail; these cases must fail, or pass, exactly as with an allowance
+    formed for every cell."""
+
+    @staticmethod
+    def _fold(lower, upper, extra=0.0, per_point=False):
+        """A gated one-cell row over two points: a margin of 0 at the first,
+        where Python's min would then drop a NaN, the probe at the second.
+        The slack is a float for the whole row, or per point 0 and then
+        ``extra``."""
+        from grusslab import bounds as bnd
+        from grusslab.verify import _Accum, _RowMargins
+        row = bnd.Bound("probe", ("bernstein",), lambda c: None)
+        reduced = _RowMargins(row, np.array([1.0, lower])[:, None, None],
+                              np.array([1.0, upper])[:, None, None],
+                              np.array([0.0, extra])[:, None, None] if per_point else extra)
+        acc = _Accum("bernstein", 2)
+        for b, x in enumerate((0.25, 0.5)):
+            acc.update(reduced, b, x, ("e1",))
+        return reduced, acc
+
+    def test_margin_above_the_floor_forms_no_allowance(self):
+        reduced, acc = self._fold(1.0, 1.0 - 2.0 ** -30)   # margin -9.3e-10
+        assert reduced.min == [0.0, -2.0 ** -30]
+        assert reduced.allow is None and acc.failures_total == 0
+
+    def test_margin_within_a_relative_allowance_passes(self):
+        # |T| = 10: the allowance is 1e-8, so a margin of -5e-9 passes
+        reduced, acc = self._fold(10.0, 10.0 - 5e-9)
+        assert reduced.min[1] < -4e-9
+        assert reduced.allow[1, 0, 0] == 1e-8 and acc.failures_total == 0
+
+    @pytest.mark.parametrize("lower,upper,extra,per_point", [
+        (math.nan, 0.5, 0.0, False), (0.5, math.nan, 0.0, False),
+        (0.5, math.inf, 0.0, False), (0.5, 0.5, math.nan, False),
+        (0.5, 0.5, math.nan, True), (0.5, 0.5 + 1e-12, -1.0, False),
+        (0.5, 0.5 + 1e-12, -1.0, True)])
+    def test_non_finite_or_negative_terms_fail(self, lower, upper, extra, per_point):
+        reduced, acc = self._fold(lower, upper, extra, per_point)
+        # a float slack spans both points, so both fail with it
+        fails = 2 if extra != 0.0 and not per_point else 1
+        assert reduced.allow is not None and acc.failures_total == fails, acc.failures
+
+    @pytest.mark.parametrize("per_point", [False, True])
+    def test_infinite_slack_forms_the_allowance(self, per_point):
+        # an infinite slack is looked at, and forgives any finite margin
+        reduced, acc = self._fold(0.5, 0.5, math.inf, per_point)
+        assert reduced.allow is not None and acc.failures_total == 0
+
+    def test_lowered_cell_fails_with_its_sample(self):
+        """new_osc set 2e-9 below |T| <= 1 at one cell of bernstein:3: that
+        cell fails alone, and its sample holds |T|, the margin and the base
+        allowance 1e-9, each read off the batch."""
+        from dataclasses import replace
+
+        from grusslab import bounds as bnd
+        from grusslab import funcspace
+        from grusslab.verify import _Accum, _RowMargins
+        corpus = funcspace.standard_corpus((0.0, 1.0))
+        names = ("e1", "e2", "sinpi")
+        block = bnd.Block("bernstein", 3, np.linspace(0.0, 1.0, 9),
+                          [corpus[nm] for nm in names])
+
+        def lowered(c):
+            rhs = np.array(np.broadcast_to(c.pair_coef * c.osc_outer, c.lhs.shape))
+            rhs[3, 0, 2] = c.lhs[3, 0, 2] - 2e-9
+            return rhs
+
+        block.rows = tuple(replace(row, rhs=lowered) if row.name == "new_osc" else row
+                           for row in block.rows)
+        acc = _Accum("bernstein", 3)
+        (batch,) = block.batches()
+        rows = [_RowMargins(*evaluated) for evaluated in block.evaluate(batch)]
+        for b, x in enumerate(batch.xs.tolist()):
+            for row in rows:
+                acc.update(row, b, x, block.names)
+        lhs = float(batch.lhs[3, 0, 2])
+        margin = float((batch.lhs[3, 0, 2] - 2e-9) - batch.lhs[3, 0, 2])
+        assert 0.0 < lhs <= 1.0 and -2.5e-9 < margin < -1.5e-9
+        assert acc.failures_total == 1
+        assert acc.failures == [{
+            "bound": "new_osc", "operator": "bernstein", "n": 3, "x": 0.375,
+            "f": "e1", "g": "sinpi", "lhs": lhs, "margin": margin,
+            "allowance": bnd.BASE_REL_TOL}]
+        # only the lowered row formed an allowance
+        assert [r.bound for r in rows if r.allow is not None] == ["new_osc"]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(0.0, 1e300))
+def test_allowance_has_its_floor(lhs, rhs, extra):
+    from grusslab.bounds import BASE_REL_TOL, allowance
+    assert allowance(lhs, rhs, extra) >= BASE_REL_TOL
+    assert allowance(lhs, rhs) >= BASE_REL_TOL
+
+
+def test_slack_terms_are_nonnegative_on_the_default_sweep(monkeypatch):
+    """Every slack term of every batch of the default sweep is finite and
+    at least 0, read with numpy reductions that carry a NaN through."""
+    import dataclasses
+
+    from grusslab import bounds as bnd
+    seen, wrapped = {}, {}
+
+    def recorded(term):
+        def rec(c):
+            v = term(c)
+            seen.setdefault(term.__name__, []).append((np.min(v), np.max(v)))
+            return v
+        return wrapped.setdefault(term, rec)
+
+    monkeypatch.setattr(bnd, "BOUNDS", tuple(
+        dataclasses.replace(b, slack=tuple(recorded(t) for t in b.slack))
+        for b in bnd.BOUNDS))
+    assert run_suite(SuiteConfig()).passed
+    assert set(seen) == {"_quadrature", "<lambda>", "_lagrange_slack"}
+    for name, extremes in seen.items():
+        lo, hi = np.array(extremes).T
+        assert lo.min() >= 0.0 and hi.max() < math.inf, name
 
 
 class TestSignStatistics:
