@@ -124,11 +124,6 @@ def allowance(lhs, rhs, extra=0.0):
     return BASE_REL_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))) + extra
 
 
-def quadrature_slack(quad_n, osc_f, osc_g):
-    """Composite Simpson on quad_n panels (the mixed-measure example)."""
-    return (8.0 / quad_n) * (1.0 + _col(osc_f) * _row(osc_g))
-
-
 def modulus_slack(h, w_f, w_g):
     """Sampled moduli on a grid of step h undershoot the true sup by at most
     slope * h: h (w_f + w_g) + 4 h^2."""
@@ -153,8 +148,9 @@ class Batch:
     ``osc``, so the zero padding never enters them.  A truncated family's
     weights arrive divided by their sum, so every row holds for the window
     functional they form with the base allowance alone.  The mixed-measure
-    batch is given T and its working-grid oscillations.  T and L|f - Lf| are
-    built one corpus row at a time, so no array is (batch, rows, nodes).
+    batch is given T, exact up to rounding, and its working-grid oscillations,
+    and takes that allowance alone too.  T and L|f - Lf| are built one corpus
+    row at a time, so no array is (batch, rows, nodes).
 
     T, |T| and the rhs are (batch, rows, rows); ``osc`` is (batch, rows), or
     (rows,) when every point reads every node; per-x coefficients are
@@ -244,13 +240,12 @@ class Block:
     ``grid_n`` points of the rows' working interval."""
 
     def __init__(self, family: str, n: int, xs, funcs, *,
-                 grid_n: int = DEFAULT_GRID, quad_n: int = ops.QUAD_N,
-                 tail_eps: float = ops.TAIL_EPS):
+                 grid_n: int = DEFAULT_GRID, tail_eps: float = ops.TAIL_EPS):
         self.family, self.n = family, n
         self.xs = np.atleast_1d(np.asarray(xs, dtype=float))
         self.funcs = tuple(funcs)
         self.names = tuple(f.name for f in self.funcs)
-        self.grid_n, self.quad_n, self.tail_eps = grid_n, quad_n, tail_eps
+        self.grid_n, self.tail_eps = grid_n, tail_eps
         self.fam = ops.FAMILY.get(family)
         if self.fam is None:
             raise ValueError(f"unknown family {family!r}")
@@ -293,11 +288,17 @@ class Block:
         return max(1, min(BATCH_POINTS, BATCH_BYTES // (8 * max(nodes, rows * rows))))
 
     def batches(self):
-        """The block's points in x order, in batches of consecutive x."""
-        if self.fam.weights is None:
-            yield from self._measure_batches()
-        else:
+        """The block's points in x order, in batches of consecutive x; the
+        mixed measure's T comes from :func:`operators.mixed_measure_T`."""
+        if self.fam.weights is not None:
             yield from self._point_batches()
+            return
+        size = self._batch_len(len(self.funcs))
+        for start in range(0, len(self.xs), size):
+            a = self.xs[start:start + size]
+            self.x_span = (float(a[0]), float(a[-1]))
+            yield Batch(self, start, t=ops.mixed_measure_T(a, self.funcs),
+                        osc=self.grid_osc)
 
     def _point_batches(self):
         """Consecutive x grouped while the widest of their node arrays fits
@@ -345,19 +346,6 @@ class Block:
             w[b, lo:hi] = wb
         return Batch(self, start, v[:, :width], w,
                      osc=_span_osc(v, [span for _, span in points]))
-
-    def _measure_batches(self):
-        xq, sw = ops.simpson_weights(self.quad_n)
-        vq = _rows_at(self.funcs, xq)
-        int_v, int_prod = vq @ sw, (vq * sw) @ vq.T
-        mid = np.array([float(f.values(np.array([0.5]))[0]) for f in self.funcs])
-        size = self._batch_len(len(self.funcs))
-        for start in range(0, len(self.xs), size):
-            a = self.xs[start:start + size]
-            self.x_span = (float(a[0]), float(a[-1]))
-            lf = _col(a) * int_v + _col(1.0 - a) * mid
-            lfg = _per_x(a) * int_prod + _per_x(1.0 - a) * (_col(mid) * _row(mid))
-            yield Batch(self, start, t=lfg - _col(lf) * _row(lf), osc=self.grid_osc)
 
     def evaluate(self, batch: Batch):
         """(row, lower, upper, extra) for every row over a batch: ``lower`` is
@@ -437,12 +425,6 @@ def _positive_point(fam: ops.Family) -> bool:
     return fam.weights is not None and not fam.signed
 
 
-def _quadrature(c: Batch):
-    if c.block.fam.weights is not None:  # only the mixed measure has no point form
-        return 0.0
-    return quadrature_slack(c.block.quad_n, c.osc, c.osc)
-
-
 def _classical_ws(name: str, families: Callable[[ops.Family], bool], env) -> Bound:
     """(1/4) w~(f; s) w~(g; s) with the modulus grid slack, ``env(c)`` giving
     the envelope values at the step s."""
@@ -486,7 +468,7 @@ BOUNDS = (
           lambda c: c.pair_coef * (_col(c.block.grid_osc) * _row(c.block.grid_osc)),
           gated=False),
     Bound("gruss_quarter", lambda fam: not fam.signed, lambda c: 0.25 * c.osc_outer,
-          (_quadrature,), sweep_only=lambda fam: fam.weights is None),
+          sweep_only=lambda fam: fam.weights is None),
     Bound("mercer", _positive_point,
           lambda c: 0.5 * np.minimum(_col(c.osc) * _row(c.mean_dev),
                                      _col(c.mean_dev) * _row(c.osc))),
@@ -499,7 +481,7 @@ BOUNDS = (
     _lagrange_form("classical_log", _log_coef(2.0 / math.pi ** 2)),
     _lagrange_form("classical_log_stated", _log_coef(2.0 / math.pi)),
     Bound("measure_support", ("measure_example",),
-          lambda c: _per_x(0.5 * c.xs * (2.0 - c.xs)) * c.osc_outer, (_quadrature,)),
+          lambda c: _per_x(0.5 * c.xs * (2.0 - c.xs)) * c.osc_outer),
 )
 
 

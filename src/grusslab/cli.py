@@ -172,7 +172,7 @@ def _cmd_lagrange(args) -> int:
 def _cmd_bounds(args) -> int:
     spec = ops.parse_operator_spec(args.op)
     corpus = standard_corpus(ops.FAMILY[spec.family].domain)
-    rec = one_shot_bounds(spec, args.x, corpus[args.f], corpus[args.g], args.quad_n)
+    rec = one_shot_bounds(spec, args.x, corpus[args.f], corpus[args.g])
     _write_out(json.dumps(rec.to_dict(), sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
@@ -225,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--grid", dest="grid_n", type=int, default=cfg.grid_n,
                    help="global function grid")
     v.add_argument("--tail-eps", type=float, default=cfg.tail_eps)
-    v.add_argument("--quad-n", type=int, default=cfg.quad_n)
     v.add_argument("--xmax", dest="x_max", type=float, default=cfg.x_max)
     v.add_argument("--seed", type=int, default=cfg.seed)
     v.add_argument("--conjecture-nmax", type=int, default=cfg.conjecture_nmax)
@@ -255,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--f", default="e1", choices=CORPUS_NAMES)
     b.add_argument("--g", default="e1", choices=CORPUS_NAMES)
     b.add_argument("--x", type=float, default=0.5)
-    b.add_argument("--quad-n", type=int, default=cfg.quad_n)
     b.add_argument("--out")
     b.set_defaults(handler=_cmd_bounds)
 

@@ -19,6 +19,10 @@ DEFAULT_GRID = 1001
 DEFAULT_XMAX = 50.0
 DEFAULT_SEED = 90210
 
+#: randlip's linear pieces on its working interval; on [0, 1] their ends k/32
+#: hold halfstep's jump and absmid's kink too, so every member is smooth on each
+RANDLIP_PIECES = 32
+
 __all__ = [
     "RealFunction",
     "NodeSet",
@@ -274,9 +278,8 @@ def _corpus(domain: tuple[float, float], seed: int,
     mid = 0.5 if math.isinf(domain[1]) else 0.5 * (lo + hi)
 
     rng = np.random.default_rng(seed)
-    n_seg = 32
-    bps = np.linspace(lo, hi, n_seg + 1)
-    slopes = rng.uniform(-1.0, 1.0, size=n_seg)
+    bps = np.linspace(lo, hi, RANDLIP_PIECES + 1)
+    slopes = rng.uniform(-1.0, 1.0, size=RANDLIP_PIECES)
     vals = np.concatenate([[0.0], np.cumsum(slopes * np.diff(bps))])
 
     def randlip_eval(x, _bps=bps, _vals=vals):

@@ -11,6 +11,9 @@ k=0 would underflow (e.g. exp(-nx) for nx beyond ~745).  A window ends at the
 first index past the mode where the geometric bound w_K r/(1 - r) on the mass
 left over, r the up ratio at K, is at most the declared tail mass; that bound
 is reported as the tail, not gated.
+
+The mixed measure has no point form; one Gauss-Legendre table on the corpus
+knots, :func:`lebesgue_rule`, integrates its Lebesgue part up to rounding.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .funcspace import (NodeSet, RealFunction, check_inside, oscillation,
-                        uniform_grid)
+from .funcspace import (RANDLIP_PIECES, NodeSet, RealFunction, check_inside,
+                        oscillation, uniform_grid)
 
 __all__ = [
     "PointFunctional",
@@ -33,7 +36,6 @@ __all__ = [
     "FAMILY",
     "FAMILIES",
     "TAIL_EPS",
-    "QUAD_N",
     "point_functional",
     "degree_coefficient",
     "bernstein_at",
@@ -44,6 +46,8 @@ __all__ = [
     "r_star",
     "king_at",
     "two_point",
+    "lebesgue_rule",
+    "mixed_measure_T",
     "measure_example_T",
     "apply",
     "chebyshev_T",
@@ -57,9 +61,6 @@ _NEG_TOL = 1e-12
 
 #: the tail mass a truncated functional may leave out, unless a caller sets one
 TAIL_EPS = 1e-12
-
-#: composite Simpson panels of the mixed-measure example
-QUAD_N = 2048
 
 
 @dataclass(frozen=True)
@@ -492,44 +493,61 @@ def _check_degree(n: int) -> None:
 # the mixed Lebesgue + point-mass example functional
 
 
-def simpson_weights(quad_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Simpson nodes and weights for quad_n panels on [0, 1]."""
-    if quad_n < 1:
-        raise ValueError("quad_n must be >= 1")
-    m = 2 * quad_n + 1
-    xs = np.linspace(0.0, 1.0, m)
-    w = np.full(m, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    h = 1.0 / (2.0 * quad_n)
-    return xs, w * (h / 3.0)
+@functools.cache
+def lebesgue_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the mixed measure's Lebesgue part: the
+    8-point Gauss-Legendre rule on each cell [k/32, (k+1)/32] of [0, 1].
+
+    The cells are randlip's pieces; halfstep's jump and absmid's kink at 1/2
+    are cell ends, and the nodes are interior.  On a cell e0, e1, e2, hat,
+    absmid, halfstep, dirichlet, randlip and their pairwise products are
+    polynomials of degree <= 4, which the rule integrates exactly up to
+    rounding.  With sinpi or expneg the remainder on a cell is h^17 (8!)^4 /
+    (17 (16!)^3) |F^(16)| <= 4.4e-49 * 3e12 (h = 1/32; (2 pi)^16 / 2 bounds
+    |(sinpi^2)^(16)|, the largest): below 5e-35 over [0, 1].  The constants are
+    the bits of numpy.polynomial's leggauss(8), whose import costs 1.2 MB RSS.
+    """
+    t = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267,
+                  0.9602898564975362])
+    w = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
+                  0.10122853629037706])
+    t, w = np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w])
+    cells = np.arange(RANDLIP_PIECES)[:, None]
+    nodes = ((cells + 0.5 * (1.0 + t)) / RANDLIP_PIECES).reshape(-1)
+    weights = np.tile(w / (2.0 * RANDLIP_PIECES), RANDLIP_PIECES)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
-def measure_example_T(a: float, f: RealFunction, g: RealFunction,
-                      quad_n: int = QUAD_N) -> tuple[float, float]:
+def mixed_measure_T(a, funcs) -> np.ndarray:
+    """T(f, g) = L(fg) - L(f)L(g) for L = a*Lebesgue + (1-a)*delta_{1/2} on
+    [0, 1], for every pair of ``funcs`` at each a of an array: (a, rows, rows).
+    Each integral of a row or a product of two is a sum of its own over the
+    nodes of :func:`lebesgue_rule`, so no T depends on which other rows are given.
+    """
+    xq, wq = lebesgue_rule()
+    v = np.stack([f.values(xq) for f in funcs])
+    wv = v * wq
+    int_v, int_prod = wv.sum(axis=1), (wv[:, None, :] * v).sum(axis=2)
+    mid = np.array([f.values(np.array([0.5]))[0] for f in funcs])
+    a = np.asarray(a, dtype=float)[:, None]
+    lf = a * int_v + (1.0 - a) * mid
+    lfg = a[:, :, None] * int_prod + (1.0 - a)[:, :, None] * np.multiply.outer(mid, mid)
+    return lfg - lf[:, :, None] * lf[:, None, :]
+
+
+def measure_example_T(a: float, f: RealFunction, g: RealFunction) -> tuple[float, float]:
     """Chebyshev functional and oscillation bound for a*Lebesgue + (1-a)*delta_{1/2}.
 
-    Returns (T, rhs) where T = L(fg) - L(f)L(g) with the Lebesgue part done by
-    composite Simpson on quad_n panels, and rhs = a(2-a)/2 * osc(f) * osc(g)
+    Returns (T, rhs): T from :func:`mixed_measure_T`, whose Lebesgue part is
+    exact up to rounding on the corpus, and rhs = a(2-a)/2 * osc(f) * osc(g)
     with oscillations over the global grid (the product measure charges all of
     [0,1]^2 whenever a > 0).
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError("measure_example_T requires a in [0, 1]")
-    xs, sw = simpson_weights(quad_n)
-    fv = f.values(xs)
-    gv = g.values(xs)
-    int_f = float(sw @ fv)
-    int_g = float(sw @ gv)
-    int_fg = float(sw @ (fv * gv))
-    fm = float(f.values(np.array([0.5]))[0])
-    gm = float(g.values(np.array([0.5]))[0])
-    lf = a * int_f + (1.0 - a) * fm
-    lg = a * int_g + (1.0 - a) * gm
-    lfg = a * int_fg + (1.0 - a) * fm * gm
-    t_val = lfg - lf * lg
-    if a == 0.0:
-        return t_val, 0.0
+    t_val = float(mixed_measure_T(np.array([a]), (f, g))[0, 0, 1])
     grid = uniform_grid(0.0, 1.0)
     return t_val, 0.5 * a * (2.0 - a) * oscillation(f, grid) * oscillation(g, grid)
 

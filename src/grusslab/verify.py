@@ -83,7 +83,6 @@ class SuiteConfig:
     x_grid: int = 257
     functions: tuple[str, ...] = CORPUS_NAMES
     tail_eps: float = ops.TAIL_EPS
-    quad_n: int = ops.QUAD_N
     grid_n: int = DEFAULT_GRID
     x_max: float = DEFAULT_XMAX
     seed: int = DEFAULT_SEED
@@ -96,8 +95,7 @@ class SuiteConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        for name, least in (("x_grid", 3), ("grid_n", 2), ("quad_n", 1),
-                            ("conjecture_nmax", 1)):
+        for name, least in (("x_grid", 3), ("grid_n", 2), ("conjecture_nmax", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
         if min(self.degrees) < 1:
@@ -132,7 +130,7 @@ class VerificationReport:
 
 
 def one_shot_bounds(spec: ops.OperatorSpec, x: float, f: RealFunction,
-                    g: RealFunction, quad_n: int = SuiteConfig.quad_n) -> bnd.BoundResult:
+                    g: RealFunction) -> bnd.BoundResult:
     """|T| and the rows the sweep gates for one operator, point and pair.  x
     must be admissible for every family; two_point and measure_example are
     then evaluated at their parameter a in place of x."""
@@ -144,7 +142,7 @@ def one_shot_bounds(spec: ops.OperatorSpec, x: float, f: RealFunction,
     if fam.signed or fam.weights is None:
         # signed functionals and the mixed measure, which has no point form,
         # take the sweep's own batch at one point
-        block = bnd.Block(spec.family, spec.n, [x], (f, g), quad_n=quad_n)
+        block = bnd.Block(spec.family, spec.n, [x], (f, g))
         return block.one_shot(op, next(block.batches()))
     return bnd.evaluate_cell(op, spec.n, x, ops.point_functional(spec.family, spec.n, x),
                              f, g, family=spec.family)
@@ -335,8 +333,8 @@ def _sweep_block(family: str, n: int, cfg: SuiteConfig, corpus,
               else None)
     funcs = [corpus[nm] for nm in names]
     try:
-        block = bnd.Block(family, n, _x_grid(funcs[0], cfg), funcs, grid_n=cfg.grid_n,
-                          quad_n=cfg.quad_n, tail_eps=cfg.tail_eps)
+        block = bnd.Block(family, n, _x_grid(funcs[0], cfg), funcs,
+                          grid_n=cfg.grid_n, tail_eps=cfg.tail_eps)
         for batch in block.batches():
             rows = [_RowMargins(*evaluated) for evaluated in block.evaluate(batch)]
             acc.cells += batch.lhs.size
@@ -625,7 +623,6 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerificationReport:
                 "base": "1e-9 * max(1, |lhs|, |rhs|)",
                 "truncated_families": "none: T and every rhs are taken on the "
                                       "window weights divided by their sum",
-                "measure_quadrature": "(8 / quad_n)(1 + osc_f * osc_g)",
                 "classical_modulus_grid": "h (w_f + w_g) + 4 h^2, h = envelope "
                                           "grid step",
             },

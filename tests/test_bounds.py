@@ -248,8 +248,8 @@ class TestBoundResult:
 def test_margin_allowance_budget():
     base = bnd.allowance(0.5, 1.0)
     assert base == pytest.approx(1e-9, abs=1e-12)
-    quad = bnd.allowance(0.5, 1.0, bnd.quadrature_slack(2048, 1.0, 1.0))
-    assert quad == pytest.approx(1e-9 + 16.0 / 2048.0, rel=1e-6)
+    grid = bnd.allowance(0.5, 1.0, bnd.modulus_slack(1e-3, 1.0, 1.0))
+    assert grid == pytest.approx(1e-9 + 2e-3 + 4e-6, rel=1e-6)
 
 
 AGREEMENT_POINTS = {
@@ -320,19 +320,21 @@ REFERENCE_XGRID = 17
 EPS = np.finfo(float).eps
 
 
-def _reference_cells(block):
+def _reference_cells(block, lebesgue_oracle):
     """(x, v, w, T, osc) one point at a time, each from the family's own
-    functional: no padding, no shared node array."""
+    functional: no padding, no shared node array.  The mixed measure's
+    Lebesgue integrals come from the test oracle."""
     fam, n = block.family, block.n
     funcs = block.funcs
     for x in block.xs:
         x = float(x)
         if fam == "measure_example":
-            xq, sw = ops.simpson_weights(block.quad_n)
-            vq = np.stack([f.values(xq) for f in funcs])
+            int_v = np.array([lebesgue_oracle(f.name) for f in funcs])
+            int_prod = np.array([[lebesgue_oracle(f.name, g.name) for g in funcs]
+                                 for f in funcs])
             mid = np.array([f.values(np.array([0.5]))[0] for f in funcs])
-            lf = x * (vq @ sw) + (1.0 - x) * mid
-            lfg = x * ((vq * sw) @ vq.T) + (1.0 - x) * np.outer(mid, mid)
+            lf = x * int_v + (1.0 - x) * mid
+            lfg = x * int_prod + (1.0 - x) * np.outer(mid, mid)
             yield x, None, None, lfg - np.outer(lf, lf), block.grid_osc
             continue
         if fam == "sdelta":
@@ -362,7 +364,6 @@ def _reference_rows(block, x, v, w, t, osc):
     def modulus(e):
         return h * np.add.outer(e, e) + 4.0 * h * h
 
-    quad = (8.0 / block.quad_n) * (1.0 + oo) if fam == "measure_example" else 0.0
     rhs, slack = {}, {}
     if w is not None:
         ssq = w @ w
@@ -382,7 +383,7 @@ def _reference_rows(block, x, v, w, t, osc):
         rhs["new_osc_globalrange"] = pair * np.outer(block.grid_osc, block.grid_osc)
         slack["new_osc_globalrange"] = 0.0
     if fam != "lagrange_cheb":
-        rhs["gruss_quarter"], slack["gruss_quarter"] = 0.25 * oo, quad
+        rhs["gruss_quarter"], slack["gruss_quarter"] = 0.25 * oo, 0.0
         slack["lattice_gruss_vs_mercer"] = 0.0
     if fam in ("bernstein", "sdelta", "king"):
         e = env(2.0 * np.sqrt(max(sp.second_moment(fam, n, x), 0.0)))
@@ -399,7 +400,7 @@ def _reference_rows(block, x, v, w, t, osc):
             rhs[name] = coef * np.outer(e, e)
             slack[name] = lam * (1.0 + lam) * modulus(e)
     if fam == "measure_example":
-        rhs["measure_support"], slack["measure_support"] = 0.5 * x * (2.0 - x) * oo, quad
+        rhs["measure_support"], slack["measure_support"] = 0.5 * x * (2.0 - x) * oo, 0.0
     out = {}
     for name, upper in rhs.items():
         out[name] = (lhs, upper - lhs, bnd.allowance(lhs, upper, slack[name]))
@@ -424,7 +425,7 @@ def _batched_rows(block):
 
 
 @pytest.mark.parametrize("family", sorted(ops.FAMILY))
-def test_batches_match_per_cell_reference(family):
+def test_batches_match_per_cell_reference(family, lebesgue_oracle):
     """Every (row, x, f, g) margin and allowance of the batched table against
     the per-cell reference, to 1e-12 relative plus a rounding floor, with
     the same failure mask."""
@@ -436,7 +437,7 @@ def test_batches_match_per_cell_reference(family):
         block = bnd.Block(family, n, xs, funcs)
         got = _batched_rows(block)
         seen = set()
-        for ix, cell in enumerate(_reference_cells(block)):
+        for ix, cell in enumerate(_reference_cells(block, lebesgue_oracle)):
             x, v = cell[0], cell[1]
             # two routes through the Gram form differ by rounding in sums of
             # size-many terms of the scale of the products of node values
@@ -455,6 +456,18 @@ def test_batches_match_per_cell_reference(family):
                 assert np.array_equal(ref_bad, new_bad), (family, n, x, name)
         assert seen == set(got), family
         assert all(len(v) == len(xs) for v in got.values())
+
+
+def test_measure_example_T_has_the_sweep_batch_bits(corpus01):
+    """measure_example_T on one pair and the sweep's batch over the whole
+    corpus give the same T bits for every pair, at a = 0, 0.37 and 1."""
+    funcs = list(corpus01.values())
+    (batch,) = bnd.Block("measure_example", 1, [0.0, 0.37, 1.0], funcs).batches()
+    for b, a in enumerate(batch.xs.tolist()):
+        for i, f in enumerate(funcs):
+            for j, g in enumerate(funcs):
+                t = ops.measure_example_T(a, f, g)[0]
+                assert t == batch.t[b, i, j], (a, f.name, g.name, t, batch.t[b, i, j])
 
 
 @pytest.mark.parametrize("family", TRUNCATED)

@@ -392,7 +392,7 @@ class TestVerifyFlags:
         cfg = _verify_config(monkeypatch, [
             "--families", "bernstein,szasz", "--degrees", "3,5", "--xgrid", "9",
             "--functions", "e0,e1", "--grid", "101", "--tail-eps", "1e-11",
-            "--quad-n", "64", "--xmax", "20", "--seed", "7",
+            "--xmax", "20", "--seed", "7",
             "--conjecture-nmax", "2"])
         default = SuiteConfig()
         unset = [f.name for f in dataclasses.fields(SuiteConfig)
@@ -403,7 +403,7 @@ class TestVerifyFlags:
     @pytest.mark.parametrize("flags", [
         ["--tail-eps", "0"], ["--tail-eps", "-1"], ["--tail-eps", "nan"],
         ["--tail-eps", "inf"], ["--xmax", "nan"], ["--xmax", "0"], ["--xmax", "inf"],
-        ["--grid", "1"], ["--quad-n", "0"], ["--degrees", "2,0"],
+        ["--grid", "1"], ["--families", "bernstein,nosuch"], ["--degrees", "2,0"],
         ["--conjecture-nmax", "0"], ["--xgrid", "2"]])
     def test_bad_value_fails_before_any_work(self, flags, tmp_path, capsys,
                                              monkeypatch):
@@ -633,6 +633,28 @@ class TestNumericFailurePath:
         assert "worst failing margin" in captured.err
         assert "bernstein" in captured.err
         assert "suite failed: bound_sweep" in captured.err
+
+    @pytest.mark.parametrize("row", ["measure_support", "gruss_quarter"])
+    def test_mixed_measure_rows_see_a_small_error(self, row, tmp_path, capsys,
+                                                   monkeypatch):
+        """A mixed-measure rhs lowered by 1e-8 at every cell fails the gate:
+        its rows carry the base allowance alone, with no quadrature slack to
+        cover the change."""
+        import dataclasses
+
+        from grusslab import bounds as bnd
+        rows = tuple(dataclasses.replace(b, rhs=lambda c, rhs=b.rhs: rhs(c) - 1e-8)
+                     if b.name == row else b for b in bnd.BOUNDS)
+        monkeypatch.setattr(bnd, "BOUNDS", rows)
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(["verify", "--families", "measure_example",
+                                "--xgrid", "9", "--grid", "101",
+                                "--conjecture-nmax", "2", "--out", str(out)], capsys)
+        assert code == 1
+        sweep = json.loads(out.read_text())["suites"]["bound_sweep"]
+        assert sweep["failures"] > 0
+        assert {s["bound"] for s in sweep["failure_samples"]} == {row}
+        assert f'"bound": "{row}"' in err and '"operator": "measure_example"' in err
 
 
 SMALL_VERIFY = ["verify", "--families", "bernstein", "--degrees", "2", "--xgrid", "9",

@@ -10,7 +10,7 @@ from grusslab import operators as ops
 from grusslab.verify import (SuiteConfig, conjecture_scan, run_suite,
                              sharpness_suite)
 
-FAST = dict(degrees=(1, 2, 4), x_grid=17, grid_n=201, conjecture_nmax=6, quad_n=256)
+FAST = dict(degrees=(1, 2, 4), x_grid=17, grid_n=201, conjecture_nmax=6)
 
 
 @pytest.fixture(scope="module")
@@ -529,7 +529,7 @@ def test_slack_terms_are_nonnegative_on_the_default_sweep(monkeypatch):
         dataclasses.replace(b, slack=tuple(recorded(t) for t in b.slack))
         for b in bnd.BOUNDS))
     assert run_suite(SuiteConfig()).passed
-    assert set(seen) == {"_quadrature", "<lambda>", "_lagrange_slack"}
+    assert set(seen) == {"<lambda>", "_lagrange_slack"}
     for name, extremes in seen.items():
         lo, hi = np.array(extremes).T
         assert lo.min() >= 0.0 and hi.max() < math.inf, name
