@@ -233,6 +233,37 @@ def _span_osc(v: np.ndarray, spans) -> np.ndarray:
     return np.subtract(top.T, bottom.T, out=np.empty((len(spans), len(v))))
 
 
+class _PrefixRange:
+    """Each row's max and min over the nodes [0, end) of one block's node
+    values, kept as end grows from batch to batch: O(rows) state.
+
+    Truncated windows all start at node 0, and on a sweep their ends do not
+    fall as x grows, so each batch reads the nodes past the widest window so
+    far once.  A batch with a window that starts past node 0 or ends before
+    ``end`` takes :func:`_span_osc`.  max and min are exact, so either route
+    gives the same bits.
+    """
+
+    def __init__(self, rows: int):
+        self.end = 0
+        self.top = np.full((rows, 1), -math.inf)
+        self.bottom = np.full((rows, 1), math.inf)
+
+    def osc(self, v: np.ndarray, spans) -> np.ndarray:
+        """max - min of each row of v over each span [lo, hi), (spans, rows)."""
+        lo, hi = np.array(spans, dtype=np.intp).T
+        if lo.any() or hi.min() < self.end:
+            return _span_osc(v, spans)
+        new = v[:, self.end:hi.max()]
+        top = np.maximum.accumulate(np.concatenate((self.top, new), axis=1), axis=1)
+        bottom = np.minimum.accumulate(np.concatenate((self.bottom, new), axis=1), axis=1)
+        at = hi - self.end       # column c holds the range over [0, end + c)
+        self.end += new.shape[1]
+        self.top, self.bottom = top[:, -1:].copy(), bottom[:, -1:].copy()
+        return np.subtract(top[:, at].T, bottom[:, at].T,
+                           out=np.empty((len(spans), len(v))))
+
+
 class Block:
     """One (family, degree) over evaluation points ``xs`` and corpus rows
     ``funcs``: the table rows that apply, what they read per block, and the
@@ -321,12 +352,13 @@ class Block:
         self.x_span = (last, last)
         size = fam.weights(n, last, eps)[0].size + 8
         v = np.empty((len(self.funcs), 0))
+        ranges = _PrefixRange(len(self.funcs))
         start, points, widest = 0, [], 0
         for ix, x in enumerate(self.xs):
             self.x_span = (float(self.xs[start]), float(x))
             w, _, span = fam.weights(n, float(x), eps)
             if points and len(points) + 1 > self._batch_len(max(widest, w.size)):
-                yield self._window_batch(start, v, points, widest)
+                yield self._window_batch(start, v, points, widest, ranges)
                 start, points, widest = ix, [], 0
                 self.x_span = (float(x), float(x))
             points.append((w, span))
@@ -334,18 +366,19 @@ class Block:
             if w.size > v.shape[1]:
                 size = max(size, w.size) + 256
                 v = _rows_at(self.funcs, np.arange(size) / n)
-        yield self._window_batch(start, v, points, widest)
+        yield self._window_batch(start, v, points, widest, ranges)
 
-    def _window_batch(self, start: int, v: np.ndarray, points, width: int) -> Batch:
+    def _window_batch(self, start: int, v: np.ndarray, points, width: int,
+                      ranges: _PrefixRange) -> Batch:
         """A batch of truncated windows ``(w, span)``: each w placed at its
         span of a zero-padded (batch, width) array, with oscillations over
-        each span."""
+        each span taken from the block's running ``ranges``."""
         self.x_span = (float(self.xs[start]), float(self.xs[start + len(points) - 1]))
         w = np.zeros((len(points), width))
         for b, (wb, (lo, hi)) in enumerate(points):
             w[b, lo:hi] = wb
         return Batch(self, start, v[:, :width], w,
-                     osc=_span_osc(v, [span for _, span in points]))
+                     osc=ranges.osc(v, [span for _, span in points]))
 
     def evaluate(self, batch: Batch):
         """(row, lower, upper, extra) for every row over a batch: ``lower`` is

@@ -173,7 +173,7 @@ def _binomial_weights(n: int, p) -> np.ndarray:
     return w.reshape(p.shape + (n + 1,))
 
 
-#: the most nodes a truncation window, or terms a theta series, may reach
+#: the most nodes a truncation window may reach
 _KCAP = 5_000_000
 
 
@@ -186,8 +186,10 @@ def _ratio_window(log_wm: float, mode: int, reach: int, up_ratio, down_ratio,
     K is the first index >= mode whose up ratio r = up_ratio(K) is below 1
     and where w_K r/(1 - r) <= tail_eps.  Up ratios that never increase past
     the mode make that geometric bound cover all the mass past K, so it is
-    returned as the tail.  The first pass reaches ``reach`` > mode; each
-    later pass goes twice as far as the one before.
+    returned as the tail; with the masses, which fall past the mode, they
+    also make the bound fall as K grows, so each pass finds K by bisection.
+    The first pass reaches ``reach`` > mode; each later pass goes twice as
+    far as the one before.
     """
     wm = math.exp(log_wm)
     parts, lo, hi = [np.array([wm])], mode, reach
@@ -196,15 +198,15 @@ def _ratio_window(log_wm: float, mode: int, reach: int, up_ratio, down_ratio,
             raise ArithmeticError("truncation window exceeded the hard cap")
         r = up_ratio(np.arange(float(lo), float(hi)))   # r[j] = w_{lo+j+1}/w_{lo+j}
         up = np.cumprod(r)
-        up *= parts[-1][-1]
-        np.subtract(1.0, r, out=r)
-        np.maximum(r, 0.0, out=r)                       # 1 - r[j], 0 where r[j] >= 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.divide(up, r)                    # w_{lo+j} r[j]/(1 - r[j])
-        # a float test array: numpy keeps freed blocks under 1 KiB for reuse,
-        # and a bool array of every pass length would fill that cache
-        j = int(np.argmax(np.less_equal(bound, tail_eps, out=r)))
-        if r[j]:
+        up *= parts[-1][-1]                             # up[j] = w_{lo+j} r[j]
+        j, end = 0, len(r)      # the first j with a bound <= tail_eps is in [j, end]
+        while j < end:
+            mid = (j + end) // 2
+            if _tail_bound(r, up, mid) <= tail_eps:
+                end = mid
+            else:
+                j = mid + 1
+        if j < len(r):
             break
         parts.append(up)
         lo, hi = hi, hi + 2 * (hi - lo)
@@ -212,7 +214,14 @@ def _ratio_window(log_wm: float, mode: int, reach: int, up_ratio, down_ratio,
     down = np.cumprod(down_ratio(np.arange(mode, 0, -1.0)))   # empty at mode 0
     down *= wm
     parts.insert(0, down[::-1])
-    return np.concatenate(parts), float(bound[j])
+    return np.concatenate(parts), _tail_bound(r, up, j)
+
+
+def _tail_bound(r: np.ndarray, up: np.ndarray, j: int) -> float:
+    """up[j]/(1 - r[j]), or inf where r[j] is not below 1: no geometric
+    bound holds there."""
+    rj = float(r[j])
+    return float(up[j]) / (1.0 - rj) if rj < 1.0 else math.inf
 
 
 def _poisson_weights(lam: float, tail_eps: float) -> tuple[np.ndarray, float]:
@@ -361,7 +370,8 @@ def _hat_weights(n: int, x, _tail_eps: float):
 
 def _window(w: np.ndarray, tail: float):
     """A truncated window as a normalized functional: w divided by its sum."""
-    return w / np.sum(w), tail, (0, w.size)
+    w /= w.sum()
+    return w, tail, (0, w.size)
 
 
 def _late(module: str):

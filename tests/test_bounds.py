@@ -526,6 +526,61 @@ def test_span_osc_at_the_last_node():
     assert bnd._span_osc(v, spans).tobytes() == ref.tobytes()
 
 
+def _count_fallbacks(monkeypatch) -> list:
+    """Route every _span_osc call through a spy; returns its call log."""
+    calls, span_osc = [], bnd._span_osc
+
+    def spy(v, spans):
+        calls.append(len(spans))
+        return span_osc(v, spans)
+    monkeypatch.setattr(bnd, "_span_osc", spy)
+    return calls
+
+
+@pytest.mark.parametrize("family", TRUNCATED)
+def test_running_ranges_are_span_osc_on_the_default_blocks(monkeypatch, family):
+    """On every batch of the default sweep's blocks the running extrema give
+    _span_osc's oscillations bit for bit, and no batch falls back: the
+    windows never end earlier as x grows."""
+    from grusslab.verify import SuiteConfig, _x_grid
+    span_osc, cfg = bnd._span_osc, SuiteConfig()
+    fallbacks = _count_fallbacks(monkeypatch)
+    funcs = list(standard_corpus(ops.FAMILY[family].domain, cfg.seed, cfg.x_max).values())
+    batches = 0
+    for n in cfg.degrees:
+        block = bnd.Block(family, n, _x_grid(funcs[0], cfg), funcs, tail_eps=cfg.tail_eps)
+        for batch in block.batches():
+            spans = [block.fam.weights(n, float(x), cfg.tail_eps)[2] for x in batch.xs]
+            assert batch.osc.tobytes() == span_osc(batch.v, spans).tobytes(), (n, batch.xs)
+            batches += 1
+    assert batches > len(cfg.degrees) and fallbacks == []
+
+
+def test_windows_that_end_earlier_take_span_osc(monkeypatch):
+    """x falling, then rising: batches whose windows end before the widest so
+    far take _span_osc, and every batch still has each span's range."""
+    fallbacks = _count_fallbacks(monkeypatch)
+    corpus = standard_corpus((0.0, math.inf))
+    xs = np.concatenate([np.linspace(50.0, 0.0, 150), np.linspace(0.0, 50.0, 150)])
+    _assert_span_osc(bnd.Block("szasz", 4, xs, list(corpus.values())))
+    assert fallbacks
+
+
+def test_running_ranges_step_by_step():
+    """One _PrefixRange over batches of spans: growing ends, an end before
+    the widest so far, ends out of order within a batch, a span that does
+    not start at node 0, and a batch that adds no node."""
+    v = np.array([[3.0, -1.0, 2.0, 5.0, 4.0, -6.0, 0.5],
+                  [0.0, 7.0, -2.0, 1.0, -3.0, 2.5, 9.0]])
+    ranges = bnd._PrefixRange(len(v))
+    for spans in ([(0, 1), (0, 3)], [(0, 2)], [(0, 6), (0, 4)], [(1, 3), (0, 7)],
+                  [(0, 6)], [(0, 7), (0, 7)]):
+        ref = np.stack([v[:, lo:hi].max(axis=1) - v[:, lo:hi].min(axis=1)
+                        for lo, hi in spans])
+        assert ranges.osc(v, spans).tobytes() == ref.tobytes(), spans
+    assert ranges.end == 7 and ranges.top.shape == (len(v), 1)
+
+
 def test_truncated_cell_above_its_rhs_fails_the_gate():
     """baskakov:1 at x = 50, (e2, sinpi): with new_osc's rhs set to |T| less
     twice the base allowance, the sweep's gate counts one failure there.  A

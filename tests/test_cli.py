@@ -549,16 +549,18 @@ def test_no_process_loads_scipy_special():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["bounds", "--op", "baskakov:64", "--x", "1e7"],
-    ["bounds", "--op", "szasz:64", "--x", "1e7"],
-    ["special", "--fn", "theta", "--n", "64", "--xmax", "1e7"],
+@pytest.mark.parametrize("argv,capped", [
+    (["bounds", "--op", "baskakov:64", "--x", "1e7"], True),
+    (["bounds", "--op", "szasz:64", "--x", "1e7"], True),
+    (["special", "--fn", "theta", "--n", "64", "--xmax", "1e7"], False),
 ], ids=["baskakov", "szasz", "theta"])
-def test_hard_cap_checked_before_allocating(argv):
-    """A truncation window or a theta series past the hard cap is refused
-    before its arrays are built.  Under a 3 GiB address-space limit the
-    command prints one error line and exits 1; building first would ask for
-    4.7 GiB (baskakov:64) or 13.7 GiB (theta) and die of a MemoryError."""
+def test_hard_cap_checked_before_allocating(argv, capped):
+    """A truncation window past the hard cap is refused before its arrays
+    are built.  Under a 3 GiB address-space limit the command prints one
+    error line and exits 1; building first would ask for 4.7 GiB
+    (baskakov:64) and die of a MemoryError.  theta is a closed form of n
+    terms, with no cap to reach: under the same limit it prints every value,
+    each in (0, 1]."""
     import resource
 
     def limit():
@@ -566,9 +568,15 @@ def test_hard_cap_checked_before_allocating(argv):
     proc = subprocess.run([sys.executable, "-m", "grusslab.cli", *argv],
                           env=_python_env(), capture_output=True, text=True,
                           timeout=120, preexec_fn=limit)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("error: ") and "hard cap" in proc.stderr, proc.stderr
-    assert proc.stderr.count("\n") == 1, proc.stderr
+    if capped:
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and "hard cap" in proc.stderr, \
+            proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        return
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    values = [float(line.split(",")[2]) for line in proc.stdout.splitlines()[1:]]
+    assert len(values) == 257 and all(0.0 < v <= 1.0 for v in values), values
 
 
 class TestNumericFailurePath:

@@ -209,6 +209,95 @@ def test_windows_meet_the_tail_contract(family, n, x, tail_eps):
     _check_tail_contract(family, n, x, w, tail, tail_eps)
 
 
+def _scan_ratio_window(log_wm, mode, reach, up_ratio, down_ratio, tail_eps):
+    """The cut rule as a scan over the whole pass: 1 - r clipped at 0, the
+    bound w r/(1 - r) formed at every index, and the first index where it is
+    at most tail_eps taken; the pass structure and the masses are the
+    program's."""
+    wm = math.exp(log_wm)
+    parts, lo, hi = [np.array([wm])], mode, reach
+    while True:
+        if hi > ops._KCAP:
+            raise ArithmeticError("truncation window exceeded the hard cap")
+        r = up_ratio(np.arange(float(lo), float(hi)))
+        up = np.cumprod(r)
+        up *= parts[-1][-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = up / np.maximum(1.0 - r, 0.0)
+        hit = np.flatnonzero(bound <= tail_eps)
+        if hit.size:
+            j = int(hit[0])
+            break
+        parts.append(up)
+        lo, hi = hi, hi + 2 * (hi - lo)
+    parts.append(up[:j])
+    down = np.cumprod(down_ratio(np.arange(mode, 0, -1.0)))
+    down *= wm
+    parts.insert(0, down[::-1])
+    return np.concatenate(parts), float(bound[j])
+
+
+def _assert_cut_is_the_scan(monkeypatch, family, n, x, tail_eps):
+    w, tail = _ray_window(family, n, x, tail_eps)
+    with monkeypatch.context() as m:
+        m.setattr(ops, "_ratio_window", _scan_ratio_window)
+        ref_w, ref_tail = _ray_window(family, n, x, tail_eps)
+    assert w.tobytes() == ref_w.tobytes() and tail.hex() == ref_tail.hex(), \
+        (family, n, x, tail_eps, w.size, ref_w.size, tail, ref_tail)
+
+
+class TestCutByBisection:
+    """The bisected cut gives the scan's window and tail bit for bit."""
+
+    @pytest.mark.parametrize("family", ["szasz", "baskakov"])
+    def test_every_window_of_the_default_sweep(self, monkeypatch, family):
+        from grusslab.verify import SuiteConfig
+        cfg = SuiteConfig()
+        for n in cfg.degrees:
+            for x in np.linspace(0.0, cfg.x_max, cfg.x_grid):
+                _assert_cut_is_the_scan(monkeypatch, family, n, float(x), cfg.tail_eps)
+
+    @given(st.sampled_from(["szasz", "baskakov"]), st.integers(1, 200),
+           st.floats(0.0, 1e4), st.floats(1e-15, 1e-3))
+    def test_random_windows(self, family, n, x, tail_eps):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _assert_cut_is_the_scan(monkeypatch, family, n, x, tail_eps)
+
+    def test_a_window_of_two_passes(self, monkeypatch):
+        # baskakov:1 at x = 50 has the constant up ratio 50/51; its first
+        # pass ends before the 1e-12 cut
+        passes, window = [], ops._ratio_window
+
+        def spy(log_wm, mode, reach, up_ratio, down_ratio, tail_eps):
+            def counted(k):
+                passes.append(k.size)
+                return up_ratio(k)
+            return window(log_wm, mode, reach, counted, down_ratio, tail_eps)
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_ratio_window", spy)
+            ops._negbin_weights(1, 50.0, 1e-12)
+        assert len(passes) == 2
+        _assert_cut_is_the_scan(monkeypatch, "baskakov", 1, 50.0, 1e-12)
+
+    def test_a_ratio_that_rounds_to_one_is_not_a_cut(self):
+        # r[0] = 1 has no geometric bound; the scan's clipped divide reads
+        # inf there, and the bisection must not divide by 1 - r = 0
+        def up_ratio(k):
+            r = np.full(k.shape, 0.5)
+            r[k == 0.0] = 1.0
+            return r
+        def none_below(k):       # mode 0: asked for no ratio
+            assert k.size == 0
+            return k
+        # past r[0], the bounds 2^-(j+1) are exact: at 2^-7 one equals tail_eps
+        for eps in (1e-12, 0.3, 10.0, 2.0 ** -7):
+            w, tail = ops._ratio_window(math.log(0.25), 0, 40, up_ratio, none_below, eps)
+            ref_w, ref_tail = _scan_ratio_window(math.log(0.25), 0, 40, up_ratio,
+                                                 none_below, eps)
+            assert w.size >= 2 and w.tobytes() == ref_w.tobytes(), eps
+            assert tail.hex() == ref_tail.hex(), eps
+
+
 class TestBBH:
     def test_degree_one_expansion(self):
         for x in (0.0, 0.5, 3.0):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -224,8 +225,8 @@ class TestTheta:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_array_call_gives_each_point_its_scalar_value(self):
-        """One array call builds the log binomials up to its widest cut; each
-        point's value is its scalar call's bit for bit, in any order."""
+        """An array call runs the point call's body on every point at once;
+        each point's value is its scalar call's bit for bit, in any order."""
         xs = np.linspace(0.0, 50.0, 41)
         xs = xs[np.random.default_rng(7).permutation(xs.size)]
         for n in (1, 2, 3, 16, 37, 64):
@@ -237,7 +238,7 @@ class TestTheta:
 
     def test_matches_squared_negbin_masses(self):
         """Within 1e-11 relative of the sum of scipy's squared negative
-        binomial masses, taken far past theta's own cut."""
+        binomial masses, taken out to a survival of 1e-20."""
         from scipy import stats
         xs = np.linspace(0.25, 50.0, 34)
         for n in (1, 2, 3, 16, 37, 64):
@@ -252,6 +253,27 @@ class TestTheta:
     def test_bad_point_inside_an_array_raises(self, bad):
         with pytest.raises(ValueError, match="argument must lie"):
             sp.theta_baskakov(4, np.array([0.5, bad, 2.0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+    @pytest.mark.parametrize("x", [0.25, 1.0, 3.0])
+    def test_within_an_exact_bracket_of_the_series(self, n, x):
+        """The defining series sum_k C(n+k-1, k)^2 q^(2k) (1-q)^(2n), q =
+        x/(1+x), summed in rationals until its geometric tail bound is below
+        1e-20 of the sum, brackets theta exactly; the closed form lies within
+        1e-14 relative of the bracket."""
+        q = Fraction(x) / (1 + Fraction(x))
+        term, total, k = (1 - q) ** (2 * n), Fraction(0), 0
+        while True:
+            total += term
+            term *= (q * (n + k) / (k + 1)) ** 2           # the (k+1)-th term
+            k += 1
+            rho = (q * (n + k) / (k + 1)) ** 2             # its ratio to the next
+            if rho < 1 and term / (1 - rho) < Fraction(1, 10 ** 20) * total:
+                break
+        lo, hi = total, total + term / (1 - rho)
+        v = Fraction(sp.theta_baskakov(n, x))
+        assert lo * (1 - Fraction(1, 10 ** 14)) <= v <= hi * (1 + Fraction(1, 10 ** 14)), \
+            (n, x, float((v - lo) / lo))
 
 
 class TestPsi:

@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grusslab import operators as ops
+from grusslab import verify
+from grusslab.funcspace import uniform_grid
 from grusslab.verify import (SuiteConfig, conjecture_scan, run_suite,
                              sharpness_suite)
 
@@ -326,6 +328,35 @@ class TestConjectures:
     def test_validation(self):
         with pytest.raises(ValueError):
             conjecture_scan(0)
+
+    @pytest.mark.parametrize("xs", [
+        uniform_grid(0.0, 1.0, 513).nodes, np.array([0.0, 1.0]),
+        np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 0.75, 1.0]),
+    ], ids=["513", "2", "3", "4"])
+    def test_mirrored_half_has_the_direct_bits(self, xs, monkeypatch):
+        """On a grid whose mirror 1 - xs is xs reversed, bit for bit, the scan
+        computes phi_n on the first half only, and mirrors it onto the
+        second with the bits of the direct computation."""
+        assert np.array_equal(1.0 - xs, xs[::-1])
+        sizes, direct = [], verify._phi_direct
+
+        def spy(n, pts):
+            sizes.append(pts.size)
+            return direct(n, pts)
+        monkeypatch.setattr(verify, "_phi_direct", spy)
+        for n in range(1, 65):
+            assert verify._phi_grid(n, xs).tobytes() == direct(n, xs).tobytes(), n
+        assert set(sizes) == {(xs.size + 1) // 2}
+
+    def test_a_grid_that_is_not_its_mirror_is_computed_whole(self, monkeypatch):
+        xs = uniform_grid(0.0, 1.0, 4).nodes     # 1 - 1/3 is not 2/3 in floats
+        assert not np.array_equal(1.0 - xs, xs[::-1])
+        sizes, direct = [], verify._phi_direct
+        monkeypatch.setattr(verify, "_phi_direct",
+                            lambda n, pts: sizes.append(pts.size) or direct(n, pts))
+        for n in (1, 2, 7):
+            verify._phi_grid(n, xs)
+        assert sizes == [4, 4, 4]
 
 
 class TestSharpness:
