@@ -1,17 +1,14 @@
 """Oscillation-based Chebyshev-Gruss bound verification for linear operators."""
 
-from .bounds import (BoundResult, classical_ws_bound, classical_ws_uniform,
-                     gruss_quarter, mercer_bound, new_bound_positive,
-                     new_bound_signed, specialized_rhs)
+from .bounds import BoundResult
 from .funcspace import (CORPUS_NAMES, ModulusEnvelope, NodeSet, RealFunction,
                         concave_majorant, envelope_of, modulus, oscillation,
                         range_on_grid, standard_corpus, uniform_grid)
-from .lagrange import (lagrange_basis, lagrange_classical_bound,
-                       lagrange_new_bound, lebesgue_constant,
-                       lebesgue_function, pair_product_sum)
+from .lagrange import (lagrange_basis, lebesgue_constant, lebesgue_function,
+                       pair_product_sum)
 from .operators import (FAMILIES, OperatorSpec, PairForm, PointFunctional, apply,
                         baskakov_at, bbh_at, bernstein_at, chebyshev_T,
-                        king_at, measure_example_T, pairwise_identity,
+                        king_at, pairwise_identity,
                         parse_operator_spec, r_star, sdelta_at, szasz_at,
                         two_point)
 from .special import (central_binom_scaled, king_sumsq, legendre_P,

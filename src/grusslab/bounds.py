@@ -1,4 +1,4 @@
-"""Right-hand-side bounds: the bound table, its cells, and scalar references.
+"""Right-hand-side bounds: the bound table, its blocks, batches and cells.
 
 Bound names used throughout reports:
 
@@ -13,8 +13,7 @@ Bound names used throughout reports:
 
 Each right-hand side and slack term is written once, in :data:`BOUNDS`.  The
 sweep evaluates it over every :class:`Batch` of a :class:`Block`, the one-shot
-``bounds`` command over a batch of one point and one pair.  The scalar ``(L, f, g)``
-functions at the end are the independent reference the tests compare with.
+``bounds`` command and the equality witnesses over a batch of one point.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ import numpy as np
 
 from . import lagrange as lag
 from . import operators as ops
-from . import special
-from .funcspace import (DEFAULT_GRID, RealFunction, cached_envelope, oscillation,
-                        range_on_grid, uniform_grid)
+from .funcspace import DEFAULT_GRID, RealFunction, cached_envelope, uniform_grid
 # chebyshev_T is bound here as well so that tracing can wrap it per module
 from .operators import PointFunctional, chebyshev_T  # noqa: F401
 
@@ -41,13 +38,6 @@ __all__ = [
     "Block",
     "evaluate_cell",
     "allowance",
-    "gruss_quarter",
-    "mercer_bound",
-    "classical_ws_bound",
-    "classical_ws_uniform",
-    "new_bound_positive",
-    "new_bound_signed",
-    "specialized_rhs",
 ]
 
 BASE_REL_TOL = 1e-9
@@ -347,16 +337,19 @@ class Block:
                             osc=None if spans is None else _span_osc(v, spans))
             return
         # node values k/n, sized from the last x's window, which an error
-        # there names, and widened in steps of 256 nodes as the windows grow
+        # there names and which that x takes in turn, and widened in steps
+        # of 256 nodes as the windows grow
         last = float(self.xs[-1])
         self.x_span = (last, last)
-        size = fam.weights(n, last, eps)[0].size + 8
+        last_window = fam.weights(n, last, eps)
+        size = last_window[0].size + 8
         v = np.empty((len(self.funcs), 0))
         ranges = _PrefixRange(len(self.funcs))
         start, points, widest = 0, [], 0
         for ix, x in enumerate(self.xs):
             self.x_span = (float(self.xs[start]), float(x))
-            w, _, span = fam.weights(n, float(x), eps)
+            w, _, span = (last_window if ix == len(self.xs) - 1
+                          else fam.weights(n, float(x), eps))
             if points and len(points) + 1 > self._batch_len(max(widest, w.size)):
                 yield self._window_batch(start, v, points, widest, ranges)
                 start, points, widest = ix, [], 0
@@ -516,92 +509,3 @@ BOUNDS = (
     Bound("measure_support", ("measure_example",),
           lambda c: _per_x(0.5 * c.xs * (2.0 - c.xs)) * c.osc_outer),
 )
-
-
-# ---------------------------------------------------------------------------
-# scalar references
-
-
-def gruss_quarter(m: float, M: float, p: float, P: float) -> float:
-    """(M - m)(P - p)/4 for value ranges m <= f <= M, p <= g <= P."""
-    if m > M or p > P:
-        raise ValueError("need m <= M and p <= P")
-    return 0.25 * (M - m) * (P - p)
-
-
-def mercer_bound(L: PointFunctional, f: RealFunction, g: RealFunction,
-                 ranges: tuple[tuple[float, float], tuple[float, float]]) -> float:
-    """min((M-m) L|g-G|, (P-p) L|f-F|)/2 with F = Lf, G = Lg; positive L only."""
-    if not L.positive:
-        raise ValueError("the mean-deviation bound needs a positive functional")
-    (m, M), (p, P) = ranges
-    if m > M or p > P:
-        raise ValueError("need m <= M and p <= P")
-    fv = f.values(L.nodes)
-    gv = g.values(L.nodes)
-    w = L.weights
-    F = float(w @ fv)
-    G = float(w @ gv)
-    dev_f = float(w @ np.abs(fv - F))
-    dev_g = float(w @ np.abs(gv - G))
-    return 0.5 * min((M - m) * dev_g, (P - p) * dev_f)
-
-
-def classical_ws_bound(family: str, n: int, x: float, f: RealFunction,
-                       g: RealFunction) -> float:
-    """Least-concave-majorant bound (1/4) w~(f; 2 sqrt(M2)) w~(g; 2 sqrt(M2))
-    for a family with a closed-form second moment."""
-    m2 = special.second_moment(family, n, x)
-    s = 2.0 * math.sqrt(m2)
-    wf = cached_envelope(f, DEFAULT_GRID).hull_value(s)
-    wg = cached_envelope(g, DEFAULT_GRID).hull_value(s)
-    return 0.25 * wf * wg
-
-
-def classical_ws_uniform(family: str, n: int, f: RealFunction,
-                         g: RealFunction) -> float:
-    """x-free majorant of the classical bound: step 1/sqrt(n) resp. 1/n."""
-    if family == "bernstein":
-        s = 1.0 / math.sqrt(n)
-    elif family == "sdelta":
-        s = 1.0 / n
-    else:
-        raise ValueError(f"no x-free classical form stated for family {family!r}")
-    wf = cached_envelope(f, DEFAULT_GRID).hull_value(s)
-    wg = cached_envelope(g, DEFAULT_GRID).hull_value(s)
-    return 0.25 * wf * wg
-
-
-def new_bound_positive(L: PointFunctional, f: RealFunction, g: RealFunction) -> float:
-    """(1 - sum w^2)/2 * osc(f) * osc(g) over the functional's nodes."""
-    if not L.positive:
-        raise ValueError("use new_bound_signed for signed functionals")
-    coef = 0.5 * (1.0 - L.sum_squares())
-    nodes = L.node_set
-    return coef * oscillation(f, nodes) * oscillation(g, nodes)
-
-
-def new_bound_signed(L: PointFunctional, f: RealFunction, g: RealFunction) -> float:
-    """osc(f) * osc(g) * sum_{k<l} |w_k w_l|, via ((sum|w|)^2 - sum w^2)/2."""
-    coef = 0.5 * (L.sum_abs() ** 2 - L.sum_squares())
-    nodes = L.node_set
-    return coef * oscillation(f, nodes) * oscillation(g, nodes)
-
-
-def specialized_rhs(family: str, n: int, x: float | None = None) -> float:
-    """Per-family closed-form coefficient multiplying osc(f) * osc(g): the
-    record's value at x where it states one, else its x-free one.
-
-    Majorizes the pointwise coefficient (1 - sum w^2)/2 at every admissible x,
-    for a truncated family that of the window weights divided by their sum.
-    """
-    fam = ops.FAMILY.get(family)
-    if fam is None or fam.coef is None:
-        raise ValueError(f"no specialized oscillation coefficient for {family!r}")
-    return fam.coef(n) if x is None or fam.coef_at is None else fam.coef_at(n, x)
-
-
-def node_ranges(L: PointFunctional, f: RealFunction, g: RealFunction):
-    """Value ranges of f and g over what the functional reads."""
-    nodes = L.node_set
-    return range_on_grid(f, nodes), range_on_grid(g, nodes)

@@ -1,4 +1,5 @@
-"""Lagrange interpolation at Chebyshev nodes: basis, Lebesgue function, bounds.
+"""Lagrange interpolation at Chebyshev nodes: basis, Lebesgue function and
+constant, and the Rivlin and Hermann diagnostics.
 
 The basis is evaluated in barycentric form specialized to first-kind Chebyshev
 nodes (weights proportional to (-1)^k sin t_k); the quotient form through the
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import (DEFAULT_GRID, NodeSet, RealFunction, cached_envelope,
-                        oscillation)
-from .operators import PointFunctional, chebyshev_T, point_functional
+# cached_envelope is bound here as well so that tracing can wrap it per module
+from .funcspace import cached_envelope  # noqa: F401
+# chebyshev_T is bound here as well so that tracing can wrap it per module
+from .operators import PointFunctional, chebyshev_T, point_functional  # noqa: F401
 
 __all__ = [
     "ChebyshevGrid",
@@ -26,8 +28,6 @@ __all__ = [
     "lebesgue_function",
     "lebesgue_constant",
     "pair_product_sum",
-    "lagrange_new_bound",
-    "lagrange_classical_bound",
     "hermann_ratio",
     "rivlin_gap",
     "rivlin_row",
@@ -135,41 +135,6 @@ def rivlin_row(n: int) -> dict:
     return {"n": n, "lebesgue_constant": lebesgue_constant(n), "gap": gap,
             "in_window": None if gap is None else bool(RIVLIN_LO < gap < RIVLIN_HI),
             "hermann_min_ratio": hermann_ratio(n)}
-
-
-def lagrange_new_bound(n: int, f: RealFunction, g: RealFunction, x: float):
-    """Signed-functional oscillation bound |T| <= osc(f) osc(g) sum |l_k l_m|,
-    as a :class:`~grusslab.bounds.BoundResult`."""
-    from .bounds import BoundResult  # bounds reads this module's basis
-
-    L = lagrange_basis(n, x)
-    nodes = NodeSet(chebyshev_grid(n).nodes)
-    lhs = abs(chebyshev_T(L, f, g))
-    rhs = oscillation(f, nodes) * oscillation(g, nodes) * pair_product_sum(n, x)
-    return BoundResult(operator=f"lagrange_cheb:{n}", n=n, x=x,
-                       f=f.name, g=g.name, lhs=lhs, rhs={"new_osc": rhs})
-
-
-def lagrange_classical_bound(n: int, f: RealFunction,
-                             g: RealFunction) -> dict[str, float]:
-    """The x-free norm-form bound and its logarithmic majorants.
-
-    ``classical_norm``: (1/4) ||L_n|| (1 + ||L_n||) w~(f;2) w~(g;2).
-    ``classical_log``: the (2/pi^2) log^2 majorant the norm chain yields.
-    ``classical_log_stated``: the looser (2/pi) log^2 variant, kept so both
-    printed forms of the estimate are on record.
-    """
-    wf = cached_envelope(f, DEFAULT_GRID).hull_value(2.0)
-    wg = cached_envelope(g, DEFAULT_GRID).hull_value(2.0)
-    lam = lebesgue_constant(n)
-    ln = math.log(n)
-    return {
-        "classical_norm": 0.25 * lam * (1.0 + lam) * wf * wg,
-        "classical_log": 0.5 * (1.0 + (3.0 / math.pi) * ln
-                                + (2.0 / math.pi ** 2) * ln * ln) * wf * wg,
-        "classical_log_stated": 0.5 * (1.0 + (3.0 / math.pi) * ln
-                                       + (2.0 / math.pi) * ln * ln) * wf * wg,
-    }
 
 
 def hermann_ratio(n: int) -> float:

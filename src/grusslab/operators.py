@@ -26,8 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .funcspace import (RANDLIP_PIECES, NodeSet, RealFunction, check_inside,
-                        oscillation, uniform_grid)
+from .funcspace import RANDLIP_PIECES, NodeSet, RealFunction, check_inside
 
 __all__ = [
     "PointFunctional",
@@ -48,7 +47,6 @@ __all__ = [
     "two_point",
     "lebesgue_rule",
     "mixed_measure_T",
-    "measure_example_T",
     "apply",
     "chebyshev_T",
     "PairForm",
@@ -545,21 +543,6 @@ def mixed_measure_T(a, funcs) -> np.ndarray:
     lf = a * int_v + (1.0 - a) * mid
     lfg = a[:, :, None] * int_prod + (1.0 - a)[:, :, None] * np.multiply.outer(mid, mid)
     return lfg - lf[:, :, None] * lf[:, None, :]
-
-
-def measure_example_T(a: float, f: RealFunction, g: RealFunction) -> tuple[float, float]:
-    """Chebyshev functional and oscillation bound for a*Lebesgue + (1-a)*delta_{1/2}.
-
-    Returns (T, rhs): T from :func:`mixed_measure_T`, whose Lebesgue part is
-    exact up to rounding on the corpus, and rhs = a(2-a)/2 * osc(f) * osc(g)
-    with oscillations over the global grid (the product measure charges all of
-    [0,1]^2 whenever a > 0).
-    """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("measure_example_T requires a in [0, 1]")
-    t_val = float(mixed_measure_T(np.array([a]), (f, g))[0, 0, 1])
-    grid = uniform_grid(0.0, 1.0)
-    return t_val, 0.5 * a * (2.0 - a) * oscillation(f, grid) * oscillation(g, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -417,46 +417,42 @@ def _phi_direct(n: int, xs: np.ndarray) -> np.ndarray:
     return np.sum(w * w, axis=1)
 
 
+def _witness(name: str, batch: bnd.Batch, bound: str) -> dict:
+    """|T| of a batch's first point and first pair of rows against its
+    block's table row ``bound`` there."""
+    block = batch.block
+    row = next(r for r in block.rows if r.name == bound)
+    lhs = float(batch.lhs[0, 0, 1])
+    rhs = float(np.broadcast_to(row.rhs(batch), batch.lhs.shape)[0, 0, 1])
+    return {"witness": name, "n": block.n, "x": float(batch.xs[0]), "lhs": lhs,
+            "rhs": rhs, "gap": abs(lhs - rhs)}
+
+
 def sharpness_suite() -> list[dict]:
-    """Equality witnesses, each gated by :func:`equality_holds`."""
-    corpus01 = standard_corpus((0.0, 1.0))
-    corpus_pm = standard_corpus((-1.0, 1.0))
-    e1, e1pm = corpus01["e1"], corpus_pm["e1"]
-    out = []
+    """Equality witnesses on (e1, e1), each read from the bound table and
+    gated by :func:`equality_holds`: classical_ws for Bernstein, new_osc and
+    mercer for the two-point functional, new_osc for Lagrange at two nodes
+    and for the signed two-point functional (1.5, -0.5) on {0, 1}.  A
+    family's witness is the batch of a one-point block; the signed
+    functional has no family, so its weights form a batch of their own on
+    the block of a signed record."""
+    e1 = (standard_corpus((0.0, 1.0))["e1"],) * 2
+    e1pm = (standard_corpus((-1.0, 1.0))["e1"],) * 2
 
-    for n, x in ((1, 0.5), (4, 0.3), (8, 0.9), (16, 0.12)):
-        L = ops.bernstein_at(n, x)
-        lhs = abs(ops.chebyshev_T(L, e1, e1))
-        rhs = bnd.classical_ws_bound("bernstein", n, x, e1, e1)
-        out.append({"witness": "bernstein_classical_identity", "n": n, "x": x,
-                    "lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)})
+    def point(family, n, x, funcs=e1):
+        return next(bnd.Block(family, n, [x], funcs).batches())
 
-    for a in (0.1, 0.25, 0.5, 0.9):
-        L = ops.two_point(a)
-        lhs = abs(ops.chebyshev_T(L, e1, e1))
-        rhs = bnd.new_bound_positive(L, e1, e1)
-        out.append({"witness": "two_point_oscillation", "n": 1, "x": a,
-                    "lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)})
-
-    for a in (0.1, 0.25, 0.5, 0.9):
-        L = ops.two_point(a)
-        lhs = abs(ops.chebyshev_T(L, e1, e1))
-        rng = bnd.node_ranges(L, e1, e1)
-        rhs = bnd.mercer_bound(L, e1, e1, rng)
-        out.append({"witness": "two_point_mercer", "n": 1, "x": a,
-                    "lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)})
-
-    res = lag.lagrange_new_bound(2, e1pm, e1pm, 0.0)
-    out.append({"witness": "lagrange_pair_product", "n": 2, "x": 0.0,
-                "lhs": res.lhs, "rhs": res.rhs["new_osc"],
-                "gap": abs(res.lhs - res.rhs["new_osc"])})
-
-    L = ops.PointFunctional(np.array([0.0, 1.0]), np.array([1.5, -0.5]),
-                            positive=False)
-    lhs = abs(ops.chebyshev_T(L, e1, e1))
-    rhs = bnd.new_bound_signed(L, e1, e1)
-    out.append({"witness": "signed_two_point", "n": 1, "x": -0.5,
-                "lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)})
+    out = [_witness("bernstein_classical_identity", point("bernstein", n, x), "classical_ws")
+           for n, x in ((1, 0.5), (4, 0.3), (8, 0.9), (16, 0.12))]
+    two_point = [point("two_point", 1, a) for a in (0.1, 0.25, 0.5, 0.9)]
+    out += [_witness("two_point_oscillation", b, "new_osc") for b in two_point]
+    out += [_witness("two_point_mercer", b, "mercer") for b in two_point]
+    out.append(_witness("lagrange_pair_product", point("lagrange_cheb", 2, 0.0, e1pm),
+                        "new_osc"))
+    v = np.stack([f.values(np.array([0.0, 1.0])) for f in e1])
+    signed = bnd.Batch(bnd.Block("lagrange_cheb", 1, [-0.5], e1), 0, v,
+                       np.array([[1.5, -0.5]]))
+    out.append(_witness("signed_two_point", signed, "new_osc"))
     return out
 
 

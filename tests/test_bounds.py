@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scalar_bounds as scalar
 
 from grusslab import bounds as bnd
 from grusslab import lagrange as lag
@@ -17,14 +18,10 @@ TRUNCATED = tuple(name for name, fam in ops.FAMILY.items() if fam.truncated)
 
 class TestGrussQuarter:
     def test_unit_ranges(self):
-        assert bnd.gruss_quarter(0, 1, 0, 1) == 0.25
+        assert scalar.gruss_quarter(0, 1, 0, 1) == 0.25
 
     def test_scaled(self):
-        assert bnd.gruss_quarter(0, 2, 0, 3) == 1.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bnd.gruss_quarter(1, 0, 0, 1)
+        assert scalar.gruss_quarter(0, 2, 0, 3) == 1.5
 
     def test_dominates_T_for_positive_functionals(self, corpus01):
         e1 = corpus01["e1"]
@@ -33,7 +30,7 @@ class TestGrussQuarter:
         for n in (1, 4, 16):
             for x in np.linspace(0, 1, 9):
                 t = abs(ops.chebyshev_T(ops.bernstein_at(n, float(x)), e1, e1))
-                assert t <= bnd.gruss_quarter(m, M, m, M) + 1e-12
+                assert t <= scalar.gruss_quarter(m, M, m, M) + 1e-12
 
 
 class TestMercer:
@@ -41,43 +38,36 @@ class TestMercer:
         e1 = corpus01["e1"]
         for a in (0.1, 0.25, 0.5, 0.9):
             L = ops.two_point(a)
-            rng = bnd.node_ranges(L, e1, e1)
-            got = bnd.mercer_bound(L, e1, e1, rng)
+            rng = scalar.node_ranges(L, e1, e1)
+            got = scalar.mercer_bound(L, e1, e1, rng)
             assert got == pytest.approx(a * (1 - a), abs=1e-15)
             assert got == pytest.approx(abs(ops.chebyshev_T(L, e1, e1)), abs=1e-14)
 
     def test_constant_gives_zero(self, corpus01):
         L = ops.bernstein_at(5, 0.4)
-        rng = bnd.node_ranges(L, corpus01["e0"], corpus01["e2"])
-        assert bnd.mercer_bound(L, corpus01["e0"], corpus01["e2"], rng) == 0.0
+        rng = scalar.node_ranges(L, corpus01["e0"], corpus01["e2"])
+        assert scalar.mercer_bound(L, corpus01["e0"], corpus01["e2"], rng) == 0.0
 
     def test_dominates_T(self, corpus01):
         f, g = corpus01["e1"], corpus01["e2"]
         L = ops.bernstein_at(4, 0.3)
-        rng = bnd.node_ranges(L, f, g)
+        rng = scalar.node_ranges(L, f, g)
         assert abs(ops.chebyshev_T(L, f, g)) <= \
-            bnd.mercer_bound(L, f, g, rng) + 1e-12
+            scalar.mercer_bound(L, f, g, rng) + 1e-12
 
     def test_below_gruss(self, corpus01):
         for f_name, g_name in (("e1", "e2"), ("sinpi", "halfstep"), ("hat", "randlip")):
             f, g = corpus01[f_name], corpus01[g_name]
             for n, x in ((2, 0.3), (8, 0.71)):
                 L = ops.bernstein_at(n, x)
-                (m, M), (p, P) = bnd.node_ranges(L, f, g)
-                assert bnd.mercer_bound(L, f, g, ((m, M), (p, P))) <= \
-                    bnd.gruss_quarter(m, M, p, P) + 1e-12
-
-    def test_signed_rejected(self, corpus_pm):
-        L = ops.PointFunctional(np.array([0.0, 1.0]), np.array([1.5, -0.5]),
-                                positive=False)
-        with pytest.raises(ValueError):
-            bnd.mercer_bound(L, corpus_pm["e1"], corpus_pm["e1"],
-                             ((0, 1), (0, 1)))
+                (m, M), (p, P) = scalar.node_ranges(L, f, g)
+                assert scalar.mercer_bound(L, f, g, ((m, M), (p, P))) <= \
+                    scalar.gruss_quarter(m, M, p, P) + 1e-12
 
     def test_inverted_range_rejected(self, corpus01):
         e1 = corpus01["e1"]
         with pytest.raises(ValueError, match="m <= M"):
-            bnd.mercer_bound(ops.bernstein_at(4, 0.3), e1, e1, ((1.0, 0.0), (0.0, 1.0)))
+            scalar.mercer_bound(ops.bernstein_at(4, 0.3), e1, e1, ((1.0, 0.0), (0.0, 1.0)))
 
 
 class TestClassicalWS:
@@ -85,33 +75,33 @@ class TestClassicalWS:
         e1 = corpus01["e1"]
         for n, x in ((1, 0.5), (4, 0.3), (16, 0.9)):
             lhs = abs(ops.chebyshev_T(ops.bernstein_at(n, x), e1, e1))
-            rhs = bnd.classical_ws_bound("bernstein", n, x, e1, e1)
+            rhs = scalar.classical_ws_bound("bernstein", n, x, e1, e1)
             assert abs(lhs - rhs) <= 1e-10
 
     def test_sdelta_zero_at_knots(self, corpus01):
         f, g = corpus01["sinpi"], corpus01["e2"]
-        assert bnd.classical_ws_bound("sdelta", 4, 0.25, f, g) == 0.0
+        assert scalar.classical_ws_bound("sdelta", 4, 0.25, f, g) == 0.0
 
     def test_king_zero_at_one(self, corpus01):
         f, g = corpus01["e1"], corpus01["e2"]
-        assert bnd.classical_ws_bound("king", 1, 1.0, f, g) == 0.0
+        assert scalar.classical_ws_bound("king", 1, 1.0, f, g) == 0.0
         lhs = abs(ops.chebyshev_T(ops.king_at(1, 1.0), f, g))
         assert lhs <= 1e-12
 
     def test_unsupported_family(self, corpus01):
         with pytest.raises(ValueError):
-            bnd.classical_ws_bound("szasz", 2, 0.5, corpus01["e1"], corpus01["e1"])
+            scalar.classical_ws_bound("szasz", 2, 0.5, corpus01["e1"], corpus01["e1"])
 
     def test_no_uniform_form_for_king(self, corpus01):
         with pytest.raises(ValueError, match="no x-free classical form"):
-            bnd.classical_ws_uniform("king", 4, corpus01["e1"], corpus01["e1"])
+            scalar.classical_ws_uniform("king", 4, corpus01["e1"], corpus01["e1"])
 
     def test_uniform_majorizes_pointwise(self, corpus01):
         f, g = corpus01["sinpi"], corpus01["randlip"]
         for n in (1, 4, 16):
-            uni = bnd.classical_ws_uniform("bernstein", n, f, g)
+            uni = scalar.classical_ws_uniform("bernstein", n, f, g)
             for x in np.linspace(0, 1, 11):
-                assert bnd.classical_ws_bound("bernstein", n, float(x), f, g) <= \
+                assert scalar.classical_ws_bound("bernstein", n, float(x), f, g) <= \
                     uni + 1e-12
 
 
@@ -120,12 +110,12 @@ class TestNewBounds:
         e1 = corpus01["e1"]
         for a in (0.1, 0.25, 0.5, 0.9):
             L = ops.two_point(a)
-            assert bnd.new_bound_positive(L, e1, e1) == pytest.approx(
+            assert scalar.new_bound_positive(L, e1, e1) == pytest.approx(
                 a * (1 - a), abs=1e-15)
 
     def test_point_mass_zero(self, corpus01):
         L = ops.bernstein_at(6, 0.0)
-        assert bnd.new_bound_positive(L, corpus01["sinpi"], corpus01["e2"]) == \
+        assert scalar.new_bound_positive(L, corpus01["sinpi"], corpus01["e2"]) == \
             pytest.approx(0.0, abs=1e-15)
 
     def test_bernstein_phi_route(self, corpus01):
@@ -135,19 +125,19 @@ class TestNewBounds:
             nodes = L.node_set
             want = 0.5 * (1 - sp.phi_bernstein(n, x)) * \
                 oscillation(f, nodes) * oscillation(g, nodes)
-            assert bnd.new_bound_positive(L, f, g) == pytest.approx(want, rel=1e-12)
+            assert scalar.new_bound_positive(L, f, g) == pytest.approx(want, rel=1e-12)
 
     def test_positive_required(self, corpus_pm):
         L = ops.PointFunctional(np.array([0.0, 1.0]), np.array([1.5, -0.5]),
                                 positive=False)
         with pytest.raises(ValueError):
-            bnd.new_bound_positive(L, corpus_pm["e1"], corpus_pm["e1"])
+            scalar.new_bound_positive(L, corpus_pm["e1"], corpus_pm["e1"])
 
     def test_signed_two_point_equality(self, corpus01):
         e1 = corpus01["e1"]
         L = ops.PointFunctional(np.array([0.0, 1.0]), np.array([1.5, -0.5]),
                                 positive=False)
-        rhs = bnd.new_bound_signed(L, e1, e1)
+        rhs = scalar.new_bound_signed(L, e1, e1)
         assert rhs == pytest.approx(0.75, abs=1e-15)
         assert abs(ops.chebyshev_T(L, e1, e1)) == pytest.approx(0.75, abs=1e-15)
 
@@ -155,45 +145,45 @@ class TestNewBounds:
         f, g = corpus01["hat"], corpus01["expneg"]
         for L in (ops.bernstein_at(5, 0.44), ops.two_point(0.3),
                   ops.sdelta_at(7, 0.13)):
-            assert bnd.new_bound_signed(L, f, g) == pytest.approx(
-                bnd.new_bound_positive(L, f, g), rel=1e-14, abs=1e-300)
+            assert scalar.new_bound_signed(L, f, g) == pytest.approx(
+                scalar.new_bound_positive(L, f, g), rel=1e-14, abs=1e-300)
 
 
 class TestSpecializedRhs:
     def test_values(self):
-        assert bnd.specialized_rhs("bernstein", 2) == pytest.approx(0.3125, abs=0)
-        assert bnd.specialized_rhs("szasz", 17) == 0.5
-        assert bnd.specialized_rhs("sdelta", 9) == 0.25
-        assert bnd.specialized_rhs("king", 1) == 0.25
-        assert bnd.specialized_rhs("king", 4) == 0.4
-        assert bnd.specialized_rhs("bbh", 2) == pytest.approx(0.3125, abs=0)
+        assert scalar.specialized_rhs("bernstein", 2) == pytest.approx(0.3125, abs=0)
+        assert scalar.specialized_rhs("szasz", 17) == 0.5
+        assert scalar.specialized_rhs("sdelta", 9) == 0.25
+        assert scalar.specialized_rhs("king", 1) == 0.25
+        assert scalar.specialized_rhs("king", 4) == 0.4
+        assert scalar.specialized_rhs("bbh", 2) == pytest.approx(0.3125, abs=0)
 
     def test_baskakov_pointwise(self):
-        assert bnd.specialized_rhs("baskakov", 3, 0.0) == 0.0
+        assert scalar.specialized_rhs("baskakov", 3, 0.0) == 0.0
         x = 2.0
         want = 0.5 * (1 - sp.theta_baskakov(3, x))
-        assert bnd.specialized_rhs("baskakov", 3, x) == pytest.approx(want, abs=0)
+        assert scalar.specialized_rhs("baskakov", 3, x) == pytest.approx(want, abs=0)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            bnd.specialized_rhs("lagrange_cheb", 3)
+            scalar.specialized_rhs("lagrange_cheb", 3)
 
     def test_majorizes_pointwise_coefficient(self):
         for x in np.linspace(0, 1, 21):
             x = float(x)
             for n in (1, 2, 8, 64):
-                assert bnd.specialized_rhs("bernstein", n) >= \
+                assert scalar.specialized_rhs("bernstein", n) >= \
                     0.5 * (1 - sp.phi_bernstein(n, x)) - 1e-12
-                assert bnd.specialized_rhs("sdelta", n) >= \
+                assert scalar.specialized_rhs("sdelta", n) >= \
                     0.5 * (1 - sp.tau_hat(n, x)) - 1e-12
-                assert bnd.specialized_rhs("king", n) >= \
+                assert scalar.specialized_rhs("king", n) >= \
                     0.5 * (1 - sp.king_sumsq(n, x)) - 1e-12
         for x in np.linspace(0, 50, 21):
             x = float(x)
             for n in (1, 2, 8):
-                assert bnd.specialized_rhs("szasz", n) >= \
+                assert scalar.specialized_rhs("szasz", n) >= \
                     0.5 * (1 - sp.sigma_szasz(n, x)) - 1e-12
-                assert bnd.specialized_rhs("bbh", n) >= \
+                assert scalar.specialized_rhs("bbh", n) >= \
                     0.5 * (1 - sp.psi_bbh(n, x)) - 1e-12
 
 
@@ -207,8 +197,8 @@ class TestDominanceLattice:
                 lhs = abs(ops.chebyshev_T(L, f, g))
                 nodes = L.node_set
                 osc_fg = oscillation(f, nodes) * oscillation(g, nodes)
-                new = bnd.new_bound_positive(L, f, g)
-                fam = bnd.specialized_rhs("bernstein", n) * osc_fg
+                new = scalar.new_bound_positive(L, f, g)
+                fam = scalar.specialized_rhs("bernstein", n) * osc_fg
                 assert lhs <= new + 1e-9
                 assert new <= fam + 1e-9
 
@@ -222,7 +212,7 @@ class TestDominanceLattice:
                 lhs = 0.25 * oscillation(f, nodes) * oscillation(g, nodes)
                 (m, M) = range_on_grid(f, grid)
                 (p, P) = range_on_grid(g, grid)
-                assert lhs <= bnd.gruss_quarter(m, M, p, P) + 1e-12
+                assert lhs <= scalar.gruss_quarter(m, M, p, P) + 1e-12
 
 
 class TestBoundResult:
@@ -268,25 +258,25 @@ AGREEMENT_POINTS = {
 def _references(family, n, x, L, f, g):
     """Every one-shot rhs from the scalar reference functions."""
     if family == "measure_example":
-        return {"measure_support": ops.measure_example_T(x, f, g)[1]}
+        return {"measure_support": scalar.measure_example_T(x, f, g)[1]}
     if family == "lagrange_cheb":
-        out = dict(lag.lagrange_classical_bound(n, f, g))
-        out["new_osc"] = bnd.new_bound_signed(L, f, g)
+        out = dict(scalar.lagrange_classical_bound(n, f, g))
+        out["new_osc"] = scalar.new_bound_signed(L, f, g)
         return out
     nodes = L.node_set
     osc_fg = oscillation(f, nodes) * oscillation(g, nodes)
-    rng = bnd.node_ranges(L, f, g)
-    out = {"new_osc": bnd.new_bound_positive(L, f, g),
-           "gruss_quarter": bnd.gruss_quarter(*rng[0], *rng[1]),
-           "mercer": bnd.mercer_bound(L, f, g, rng)}
+    rng = scalar.node_ranges(L, f, g)
+    out = {"new_osc": scalar.new_bound_positive(L, f, g),
+           "gruss_quarter": scalar.gruss_quarter(*rng[0], *rng[1]),
+           "mercer": scalar.mercer_bound(L, f, g, rng)}
     if family != "two_point":
-        out["new_osc_family"] = bnd.specialized_rhs(family, n, x) * osc_fg
+        out["new_osc_family"] = scalar.specialized_rhs(family, n, x) * osc_fg
     if family in ("bernstein", "king"):
         out["new_osc_degree"] = n / (2.0 * (n + 1.0)) * osc_fg
     if family in ("bernstein", "sdelta", "king"):
-        out["classical_ws"] = bnd.classical_ws_bound(family, n, x, f, g)
+        out["classical_ws"] = scalar.classical_ws_bound(family, n, x, f, g)
     if family in ("bernstein", "sdelta"):
-        out["classical_ws_uniform"] = bnd.classical_ws_uniform(family, n, f, g)
+        out["classical_ws_uniform"] = scalar.classical_ws_uniform(family, n, f, g)
     return out
 
 
@@ -375,7 +365,7 @@ def _reference_rows(block, x, v, w, t, osc):
             rhs["mercer"] = 0.5 * np.minimum(np.outer(osc, dev), np.outer(dev, osc))
             slack["mercer"] = 0.0
     if fam in ("bernstein", "sdelta", "szasz", "baskakov", "bbh", "king"):
-        rhs["new_osc_family"] = bnd.specialized_rhs(fam, n, x) * oo
+        rhs["new_osc_family"] = scalar.specialized_rhs(fam, n, x) * oo
         slack["new_osc_family"] = slack["lattice_family_vs_new"] = 0.0
     if fam in ("bernstein", "king"):
         rhs["new_osc_degree"], slack["new_osc_degree"] = n / (2.0 * (n + 1.0)) * oo, 0.0
@@ -466,8 +456,24 @@ def test_measure_example_T_has_the_sweep_batch_bits(corpus01):
     for b, a in enumerate(batch.xs.tolist()):
         for i, f in enumerate(funcs):
             for j, g in enumerate(funcs):
-                t = ops.measure_example_T(a, f, g)[0]
+                t = scalar.measure_example_T(a, f, g)[0]
                 assert t == batch.t[b, i, j], (a, f.name, g.name, t, batch.t[b, i, j])
+
+
+def test_truncated_block_builds_each_window_once(monkeypatch):
+    """The window that sizes a szasz block's node values is the last x's
+    own: one weights call per x, the last x's first."""
+    from dataclasses import replace
+    fam, calls = ops.FAMILY["szasz"], []
+
+    def counted(n, x, eps):
+        calls.append(x)
+        return fam.weights(n, x, eps)
+    monkeypatch.setitem(ops.FAMILY, "szasz", replace(fam, weights=counted))
+    xs = np.linspace(0.0, 50.0, 65)
+    block = bnd.Block("szasz", 16, xs, list(standard_corpus(fam.domain).values()))
+    assert len(list(block.batches())) > 1
+    assert calls == [xs[-1], *xs[:-1]]
 
 
 @pytest.mark.parametrize("family", TRUNCATED)

@@ -704,8 +704,18 @@ class TestNonFiniteStatistics:
         assert payload["suites"]["bound_sweep"]["pass"] is True
 
     def test_nan_sharpness_gap_fails_sharpness(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
         from grusslab import bounds as bnd
-        monkeypatch.setattr(bnd, "new_bound_positive", lambda L, f, g: math.nan)
+        new_osc = next(b for b in bnd.BOUNDS if b.name == "new_osc")
+
+        def nan_on_two_point(c):
+            # the two-point witnesses read this row; the sweep here does not
+            rhs = new_osc.rhs(c)
+            return rhs * math.nan if c.block.family == "two_point" else rhs
+        monkeypatch.setattr(bnd, "BOUNDS", tuple(
+            dataclasses.replace(b, rhs=nan_on_two_point) if b is new_osc else b
+            for b in bnd.BOUNDS))
         out = tmp_path / "r.json"
         code = main(SMALL_VERIFY + ["--out", str(out)])
         captured = capsys.readouterr()
@@ -729,9 +739,14 @@ class TestBlockErrors:
 
         from grusslab import bounds as bnd
 
+        mercer = next(b for b in bnd.BOUNDS if b.name == "mercer")
+
         def boom(c):
-            raise ZeroDivisionError("row failed")
-        rows = tuple(dataclasses.replace(b, rhs=boom) if b.name == "mercer" else b
+            # the sweep's blocks only: the two-point witnesses read this row too
+            if c.block.family == "bernstein":
+                raise ZeroDivisionError("row failed")
+            return mercer.rhs(c)
+        rows = tuple(dataclasses.replace(b, rhs=boom) if b is mercer else b
                      for b in bnd.BOUNDS)
         monkeypatch.setattr(bnd, "BOUNDS", rows)
         out = tmp_path / "r.json"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scalar_bounds as scalar
 
 from grusslab import lagrange as lag
 from grusslab import operators as ops
@@ -178,36 +179,35 @@ class TestPairProductSum:
 
 class TestBounds:
     def test_constant_function_trivial(self, corpus_pm):
-        res = lag.lagrange_new_bound(5, corpus_pm["e0"], corpus_pm["sinpi"], 0.37)
+        res = scalar.lagrange_new_bound(5, corpus_pm["e0"], corpus_pm["sinpi"], 0.37)
         assert res.lhs <= 1e-13
         assert res.rhs["new_osc"] >= 0.0
 
     def test_equality_two_nodes_center(self, corpus_pm):
-        res = lag.lagrange_new_bound(2, corpus_pm["e1"], corpus_pm["e1"], 0.0)
+        res = scalar.lagrange_new_bound(2, corpus_pm["e1"], corpus_pm["e1"], 0.0)
         assert res.lhs == pytest.approx(0.5, abs=1e-14)
         assert res.rhs["new_osc"] == pytest.approx(0.5, abs=1e-14)
 
     def test_generic_pair_holds(self, corpus_pm):
         for x in (-0.9, 0.3, 0.84):
-            res = lag.lagrange_new_bound(4, corpus_pm["absmid"], corpus_pm["sinpi"], x)
+            res = scalar.lagrange_new_bound(4, corpus_pm["absmid"], corpus_pm["sinpi"], x)
             assert res.lhs <= res.rhs["new_osc"] + 1e-10
 
     def test_matches_signed_bound_route(self, corpus_pm):
-        from grusslab.bounds import new_bound_signed
         for n in (2, 5):
             for x in (-0.4, 0.66):
                 L = lag.lagrange_basis(n, x)
-                direct = new_bound_signed(L, corpus_pm["e2"], corpus_pm["randlip"])
-                res = lag.lagrange_new_bound(n, corpus_pm["e2"], corpus_pm["randlip"], x)
+                direct = scalar.new_bound_signed(L, corpus_pm["e2"], corpus_pm["randlip"])
+                res = scalar.lagrange_new_bound(n, corpus_pm["e2"], corpus_pm["randlip"], x)
                 assert direct == pytest.approx(res.rhs["new_osc"], rel=1e-12, abs=1e-15)
 
     def test_classical_forms(self, corpus_pm):
         e0 = corpus_pm["e0"]
-        forms = lag.lagrange_classical_bound(4, e0, e0)
+        forms = scalar.lagrange_classical_bound(4, e0, e0)
         assert forms["classical_norm"] == 0.0
 
         e1 = corpus_pm["e1"]
-        forms = lag.lagrange_classical_bound(2, e1, e1)
+        forms = scalar.lagrange_classical_bound(2, e1, e1)
         lam = math.sqrt(2)
         assert forms["classical_norm"] == pytest.approx(
             0.25 * lam * (1 + lam) * 4.0, rel=1e-6)
@@ -220,7 +220,7 @@ class TestBounds:
     def test_norm_form_below_log_form(self, corpus_pm):
         f, g = corpus_pm["e1"], corpus_pm["e2"]
         for n in range(2, 65):
-            forms = lag.lagrange_classical_bound(n, f, g)
+            forms = scalar.lagrange_classical_bound(n, f, g)
             assert forms["classical_norm"] <= forms["classical_log"] + 1e-12
             assert forms["classical_log"] <= forms["classical_log_stated"] + 1e-12
 

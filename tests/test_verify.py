@@ -159,9 +159,8 @@ class TestAcrossCalls:
 
     @pytest.mark.parametrize("x_max", [SuiteConfig.x_max, 20.0])
     def test_each_envelope_built_once(self, x_max, monkeypatch):
-        # the sweep and the scalar references behind the sharpness witnesses
-        # read e1 on [0, 1] at the default grid through one cache entry,
-        # whatever x_max cuts [0, inf) at
+        # the sweep and the sharpness witnesses read e1 on [0, 1] at the
+        # default grid through one cache entry, whatever x_max cuts [0, inf) at
         import collections
 
         from grusslab import funcspace
@@ -378,6 +377,33 @@ class TestSharpness:
         rec = rows[("lagrange_pair_product", 2, 0.0)]
         assert rec["lhs"] == pytest.approx(0.5, abs=1e-14)
 
+    @pytest.mark.parametrize("bound,readers", [
+        ("new_osc", {"two_point_oscillation", "lagrange_pair_product", "signed_two_point"}),
+        ("classical_ws", {"bernstein_classical_identity"}),
+    ])
+    def test_witnesses_read_the_table(self, bound, readers, monkeypatch):
+        """One table row's rhs scaled by 1 + 1e-9 where the witnesses read it
+        (new_osc through Batch.pair_coef) fails exactly the witnesses of that
+        row whose rhs is large enough for the 1e-10 gate to see it."""
+        import dataclasses
+
+        from grusslab import bounds as bnd
+        base = sharpness_suite()
+        if bound == "new_osc":
+            pair_coef = bnd.Batch.pair_coef.func
+            monkeypatch.setattr(bnd.Batch, "pair_coef",
+                                property(lambda c: pair_coef(c) * (1.0 + 1e-9)))
+        else:
+            row = next(b for b in bnd.BOUNDS if b.name == bound)
+            scaled = dataclasses.replace(row, rhs=lambda c: row.rhs(c) * (1.0 + 1e-9))
+            monkeypatch.setattr(bnd, "BOUNDS",
+                                tuple(scaled if b is row else b for b in bnd.BOUNDS))
+        failing = [(r["witness"], r["n"], r["x"]) for r in sharpness_suite()
+                   if not verify.equality_holds(r)]
+        want = [(r["witness"], r["n"], r["x"]) for r in base
+                if r["witness"] in readers and r["rhs"] * 1e-9 > 1e-10]
+        assert want and failing == want
+
 
 class TestBuildFunctional:
     @pytest.mark.parametrize("spec_text,x", [
@@ -399,9 +425,14 @@ class TestSweepBlockErrors:
     def test_error_before_first_batch_has_no_x_range(self, monkeypatch):
         from grusslab import bounds as bnd
 
+        batches = bnd.Block.batches
+
         def broken(self):
-            raise RuntimeError("no batches")
-            yield  # pragma: no cover
+            # the sweep's block only: each sharpness witness reads the batch
+            # of a one-point block
+            if len(self.xs) > 1:
+                raise RuntimeError("no batches")
+            yield from batches(self)
         monkeypatch.setattr(bnd.Block, "batches", broken)
         rep = run_suite(SuiteConfig(families=("two_point",), degrees=(1,), x_grid=9,
                                     grid_n=101, conjecture_nmax=2))
