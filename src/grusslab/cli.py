@@ -84,9 +84,12 @@ def _cmd_verify(args) -> int:
             print(f"block error: {json.dumps(err, sort_keys=True)}", file=sys.stderr)
         for suite, body in report.suites.items():
             if not body.get("pass", True):
-                worst = _suite_witness(suite, body)
-                witness = (f" worst {json.dumps(worst, sort_keys=True)}"
-                           if worst is not None else "")
+                if "error" in body:
+                    witness = f" error {json.dumps(body['error'], sort_keys=True)}"
+                else:
+                    worst = _suite_witness(suite, body)
+                    witness = (f" worst {json.dumps(worst, sort_keys=True)}"
+                               if worst is not None else "")
                 print(f"suite failed: {suite}{witness}", file=sys.stderr)
         if report.coverage["missing"]:
             print(f"coverage missing: {json.dumps(report.coverage['missing'], sort_keys=True)}",

@@ -7,10 +7,13 @@ Infinite families (Szasz, Baskakov) are truncated and their window weights
 divided by their sum, so every reader gets the same positive normalized
 functional.  Window weights are built by multiplicative ratio recurrences
 seeded at the distribution mode, which stays in range where a plain start at
-k=0 would underflow (e.g. exp(-nx) for nx beyond ~745).  A window ends at the
-first index past the mode where the geometric bound w_K r/(1 - r) on the mass
-left over, r the up ratio at K, is at most the declared tail mass; that bound
-is reported as the tail, not gated.
+k=0 would underflow (e.g. exp(-nx) for nx beyond ~745).  Each window is one
+buffer, its up and down chains cumulative products written into it in place,
+and every ratio factor is an exact slice of one read-only index table, so
+the masses have the bits of the same formulas on np.arange.  A window ends
+at the first index past the mode where the geometric bound w_K r/(1 - r) on
+the mass left over, r the up ratio at K, is at most the declared tail mass;
+that bound is reported as the tail, not gated.
 
 The mixed measure has no point form; one Gauss-Legendre table on the corpus
 knots, :func:`lebesgue_rule`, integrates its Lebesgue part up to rounding.
@@ -26,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .funcspace import RANDLIP_PIECES, NodeSet, RealFunction, check_inside
+from .funcspace import RANDLIP_PIECES, RealFunction, check_inside
 
 __all__ = [
     "PointFunctional",
@@ -93,17 +96,6 @@ class PointFunctional:
         weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-    @property
-    def node_set(self) -> NodeSet:
-        order = np.argsort(self.nodes)
-        return NodeSet(self.nodes[order])
-
-    def sum_squares(self) -> float:
-        return float(np.dot(self.weights, self.weights))
-
-    def sum_abs(self) -> float:
-        return float(np.sum(np.abs(self.weights)))
 
 
 @dataclass(frozen=True)
@@ -174,52 +166,93 @@ def _binomial_weights(n: int, p) -> np.ndarray:
 #: the most nodes a truncation window may reach
 _KCAP = 5_000_000
 
+#: the length of the index table: ratio factors below it are slices of it
+_TABLE_LEN = 1 << 14
 
-def _ratio_window(log_wm: float, mode: int, reach: int, up_ratio, down_ratio,
+
+@functools.cache
+def _index_table() -> np.ndarray:
+    """The read-only floats 0, 1, ..., _TABLE_LEN - 1."""
+    idx = np.arange(float(_TABLE_LEN))
+    idx.flags.writeable = False
+    return idx
+
+
+def _ints(lo: int, hi: int) -> np.ndarray:
+    """The floats lo, lo + 1, ..., hi - 1, each exact: a slice of the index
+    table where it reaches, past it an arange of their own."""
+    if hi <= _TABLE_LEN:
+        return _index_table()[lo:hi]
+    return np.arange(float(lo), float(hi))
+
+
+def _ratio_window(log_wm: float, mode: int, reach: int, c: float, n: int | None,
                   tail_eps: float) -> tuple[np.ndarray, float]:
     """Masses w_0..w_K from the mode weight exp(log_wm) by products of the
-    ratios up_ratio(k) = w_{k+1}/w_k and down_ratio(k) = w_{k-1}/w_k, and the
-    tail bound past K.
+    ratios w_{k+1}/w_k and w_{k-1}/w_k, and the tail bound past K.
 
-    K is the first index >= mode whose up ratio r = up_ratio(K) is below 1
-    and where w_K r/(1 - r) <= tail_eps.  Up ratios that never increase past
-    the mode make that geometric bound cover all the mass past K, so it is
-    returned as the tail; with the masses, which fall past the mode, they
-    also make the bound fall as K grows, so each pass finds K by bisection.
-    The first pass reaches ``reach`` > mode; each later pass goes twice as
-    far as the one before.
+    The ratios are the Poisson law's of mean c, c/(k + 1) and k/c, when n is
+    None, else the negative binomial's of order n and success parameter c,
+    c (n + k)/(k + 1) and k/(c (n + k - 1)).  Each factor k, k + 1, n + k and
+    n + k - 1 is a slice of :func:`_ints`, so a pass's ratios take one or two
+    array operations and have the bits of the formulas on np.arange.
+
+    K is the first index >= mode whose up ratio r is below 1 and where
+    w_K r/(1 - r) <= tail_eps.  Up ratios that never increase past the mode
+    make that geometric bound cover all the mass past K, so it is returned as
+    the tail; with the masses, which fall past the mode, they also make the
+    bound fall as K grows, so each pass finds K, inline, by bisection.  The
+    first pass reaches ``reach`` > mode; each later pass goes twice as far as
+    the one before, and the hard cap is checked before its arrays are made.
+
+    The masses are built in place in one buffer, sized to the first pass and
+    extended for each later one: a pass's up chain is the cumprod of its
+    ratios, written into the buffer, times the mass it starts from, and the
+    down chain from the mode is the cumprod of its ratios, in the buffer's
+    reversed view, times the mode weight.  Those are the products, in their
+    order, of separate cumprods joined by concatenation, so the masses, K and
+    the tail bound do not depend on the buffer.
     """
-    wm = math.exp(log_wm)
-    parts, lo, hi = [np.array([wm])], mode, reach
+    if reach > _KCAP:
+        raise ArithmeticError("truncation window exceeded the hard cap")
+    w = np.empty(reach + 1)
+    w[mode] = wm = math.exp(log_wm)
+    lo, hi = mode, reach
     while True:
-        if hi > _KCAP:
-            raise ArithmeticError("truncation window exceeded the hard cap")
-        r = up_ratio(np.arange(float(lo), float(hi)))   # r[j] = w_{lo+j+1}/w_{lo+j}
-        up = np.cumprod(r)
-        up *= parts[-1][-1]                             # up[j] = w_{lo+j} r[j]
-        j, end = 0, len(r)      # the first j with a bound <= tail_eps is in [j, end]
+        # r[j] = w_{lo+j+1}/w_{lo+j}
+        if n is None:
+            r = c / _ints(lo + 1, hi + 1)
+        else:
+            r = c * _ints(lo + n, hi + n)
+            r /= _ints(lo + 1, hi + 1)
+        up = w[lo + 1:hi + 1]
+        np.multiply.accumulate(r, out=up)
+        up *= w[lo]                                    # up[j] = w_{lo+j} r[j]
+        j, end = 0, hi - lo     # the first j with a bound <= tail_eps is in [j, end]
         while j < end:
             mid = (j + end) // 2
-            if _tail_bound(r, up, mid) <= tail_eps:
+            rm = r.item(mid)
+            if (up.item(mid) / (1.0 - rm) if rm < 1.0 else math.inf) <= tail_eps:
                 end = mid
             else:
                 j = mid + 1
-        if j < len(r):
+        if j < hi - lo:
             break
-        parts.append(up)
-        lo, hi = hi, hi + 2 * (hi - lo)
-    parts.append(up[:j])
-    down = np.cumprod(down_ratio(np.arange(mode, 0, -1.0)))   # empty at mode 0
-    down *= wm
-    parts.insert(0, down[::-1])
-    return np.concatenate(parts), _tail_bound(r, up, j)
-
-
-def _tail_bound(r: np.ndarray, up: np.ndarray, j: int) -> float:
-    """up[j]/(1 - r[j]), or inf where r[j] is not below 1: no geometric
-    bound holds there."""
-    rj = float(r[j])
-    return float(up[j]) / (1.0 - rj) if rj < 1.0 else math.inf
+        lo, hi = hi, 3 * hi - 2 * lo
+        if hi > _KCAP:
+            raise ArithmeticError("truncation window exceeded the hard cap")
+        w = np.concatenate([w, np.empty(hi - lo)])
+    if mode:
+        down = w[:mode]                                # down[k-1] = w_{k-1}/w_k
+        if n is None:
+            np.divide(_ints(1, mode + 1), c, out=down)
+        else:
+            np.multiply(c, _ints(n, n + mode), out=down)
+            np.divide(_ints(1, mode + 1), down, out=down)
+        np.multiply.accumulate(down[::-1], out=down[::-1])
+        down *= wm
+    rj = r.item(j)
+    return w[:lo + j + 1], (up.item(j) / (1.0 - rj) if rj < 1.0 else math.inf)
 
 
 def _poisson_weights(lam: float, tail_eps: float) -> tuple[np.ndarray, float]:
@@ -228,7 +261,7 @@ def _poisson_weights(lam: float, tail_eps: float) -> tuple[np.ndarray, float]:
     mode = int(lam)
     log_wm = -lam + mode * math.log(lam) - math.lgamma(mode + 1)
     return _ratio_window(log_wm, mode, int(lam + 12.0 * math.sqrt(lam) + 50.0),
-                         lambda k: lam / (k + 1.0), lambda k: k / lam, tail_eps)
+                         lam, None, tail_eps)
 
 
 def _negbin_weights(n: int, x: float, tail_eps: float) -> tuple[np.ndarray, float]:
@@ -241,8 +274,7 @@ def _negbin_weights(n: int, x: float, tail_eps: float) -> tuple[np.ndarray, floa
               + mode * math.log(p) - n * math.log1p(x))
     return _ratio_window(log_wm, mode,
                          int(mean + 15.0 * math.sqrt(mean * (1.0 + x)) + 60.0),
-                         lambda k: p * (n + k) / (k + 1.0),
-                         lambda k: k / (p * (n + k - 1.0)), tail_eps)
+                         p, n, tail_eps)
 
 
 # ---------------------------------------------------------------------------

@@ -598,14 +598,19 @@ def run_suite(cfg: SuiteConfig | None = None) -> VerificationReport:
         "antimonotone_witness": None if anti is None else anti[1],
     }
 
-    witnesses = sharpness_suite()
-    worst = None
-    for w in witnesses:
-        if _beyond(w["gap"], None if worst is None else worst["gap"], False):
-            worst = w
-    sharp = {"pass": equality_holds(worst), "max_abs_gap": _json_number(worst["gap"]),
-             "witnesses": [{k: _json_number(v) if isinstance(v, float) else v
-                            for k, v in w.items()} for w in witnesses]}
+    try:
+        witnesses = sharpness_suite()
+    except Exception as exc:  # recorded, not fatal, as a sweep block's
+        sharp = {"pass": False, "error": {"error_type": type(exc).__name__,
+                                          "message": str(exc)}}
+    else:
+        worst = None
+        for w in witnesses:
+            if _beyond(w["gap"], None if worst is None else worst["gap"], False):
+                worst = w
+        sharp = {"pass": equality_holds(worst), "max_abs_gap": _json_number(worst["gap"]),
+                 "witnesses": [{k: _json_number(v) if isinstance(v, float) else v
+                                for k, v in w.items()} for w in witnesses]}
 
     conj = conjecture_scan(cfg.conjecture_nmax, min(cfg.grid_n, CONJECTURE_GRID))
     conj_pass = all(half_point_holds(f) for f in conj)

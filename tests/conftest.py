@@ -1,11 +1,13 @@
 import functools
 import math
+import time
 
 import pytest
 from hypothesis import HealthCheck, settings
 from scipy import integrate
 
 from grusslab.funcspace import RANDLIP_PIECES, standard_corpus
+from grusslab.verify import SuiteConfig, run_suite
 
 settings.register_profile(
     "ci",
@@ -15,6 +17,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(scope="session")
+def default_run():
+    """The default report and the seconds it took, computed once: the
+    acceptance criteria and the golden fixture read it."""
+    t0 = time.time()
+    report = run_suite(SuiteConfig())
+    return report, time.time() - t0
 
 
 @pytest.fixture(scope="session")

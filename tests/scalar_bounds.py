@@ -22,6 +22,19 @@ from grusslab.lagrange import (chebyshev_grid, lagrange_basis, lebesgue_constant
 from grusslab.operators import PointFunctional, chebyshev_T, mixed_measure_T
 
 
+def node_set(L: PointFunctional) -> NodeSet:
+    """The functional's nodes, sorted."""
+    return NodeSet(np.sort(L.nodes))
+
+
+def sum_squares(L: PointFunctional) -> float:
+    return float(np.dot(L.weights, L.weights))
+
+
+def sum_abs(L: PointFunctional) -> float:
+    return float(np.sum(np.abs(L.weights)))
+
+
 def gruss_quarter(m: float, M: float, p: float, P: float) -> float:
     """(M - m)(P - p)/4 for value ranges m <= f <= M, p <= g <= P."""
     return 0.25 * (M - m) * (P - p)
@@ -72,15 +85,15 @@ def new_bound_positive(L: PointFunctional, f: RealFunction, g: RealFunction) -> 
     """(1 - sum w^2)/2 * osc(f) * osc(g) over the functional's nodes."""
     if not L.positive:
         raise ValueError("use new_bound_signed for signed functionals")
-    coef = 0.5 * (1.0 - L.sum_squares())
-    nodes = L.node_set
+    coef = 0.5 * (1.0 - sum_squares(L))
+    nodes = node_set(L)
     return coef * oscillation(f, nodes) * oscillation(g, nodes)
 
 
 def new_bound_signed(L: PointFunctional, f: RealFunction, g: RealFunction) -> float:
     """osc(f) * osc(g) * sum_{k<l} |w_k w_l|, via ((sum|w|)^2 - sum w^2)/2."""
-    coef = 0.5 * (L.sum_abs() ** 2 - L.sum_squares())
-    nodes = L.node_set
+    coef = 0.5 * (sum_abs(L) ** 2 - sum_squares(L))
+    nodes = node_set(L)
     return coef * oscillation(f, nodes) * oscillation(g, nodes)
 
 
@@ -95,7 +108,7 @@ def specialized_rhs(family: str, n: int, x: float | None = None) -> float:
 
 def node_ranges(L: PointFunctional, f: RealFunction, g: RealFunction):
     """Value ranges of f and g over what the functional reads."""
-    nodes = L.node_set
+    nodes = node_set(L)
     return range_on_grid(f, nodes), range_on_grid(g, nodes)
 
 

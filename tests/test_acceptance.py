@@ -6,7 +6,6 @@ criterion.
 
 import json
 import math
-import time
 
 import numpy as np
 import pytest
@@ -16,14 +15,7 @@ from grusslab import lagrange as lag
 from grusslab import operators as ops
 from grusslab import special as sp
 from grusslab.cli import main as cli_main
-from grusslab.verify import SuiteConfig, run_suite, sharpness_suite
-
-
-@pytest.fixture(scope="session")
-def default_run():
-    t0 = time.time()
-    report = run_suite(SuiteConfig())
-    return report, time.time() - t0
+from grusslab.verify import sharpness_suite
 
 
 def _say(line):

@@ -122,7 +122,7 @@ class TestNewBounds:
         f, g = corpus01["sinpi"], corpus01["e2"]
         for n, x in ((2, 0.3), (8, 0.62)):
             L = ops.bernstein_at(n, x)
-            nodes = L.node_set
+            nodes = scalar.node_set(L)
             want = 0.5 * (1 - sp.phi_bernstein(n, x)) * \
                 oscillation(f, nodes) * oscillation(g, nodes)
             assert scalar.new_bound_positive(L, f, g) == pytest.approx(want, rel=1e-12)
@@ -195,7 +195,7 @@ class TestDominanceLattice:
             for n, x in ((1, 0.5), (4, 0.21), (16, 0.83)):
                 L = ops.bernstein_at(n, x)
                 lhs = abs(ops.chebyshev_T(L, f, g))
-                nodes = L.node_set
+                nodes = scalar.node_set(L)
                 osc_fg = oscillation(f, nodes) * oscillation(g, nodes)
                 new = scalar.new_bound_positive(L, f, g)
                 fam = scalar.specialized_rhs("bernstein", n) * osc_fg
@@ -263,7 +263,7 @@ def _references(family, n, x, L, f, g):
         out = dict(scalar.lagrange_classical_bound(n, f, g))
         out["new_osc"] = scalar.new_bound_signed(L, f, g)
         return out
-    nodes = L.node_set
+    nodes = scalar.node_set(L)
     osc_fg = oscillation(f, nodes) * oscillation(g, nodes)
     rng = scalar.node_ranges(L, f, g)
     out = {"new_osc": scalar.new_bound_positive(L, f, g),

@@ -760,6 +760,34 @@ class TestBlockErrors:
         assert f"block error: {json.dumps(err, sort_keys=True)}" in captured.err
         assert "suite failed: bound_sweep" in captured.err
 
+    @pytest.mark.parametrize("exc", [ZeroDivisionError, RuntimeError])
+    def test_raising_row_in_a_witness_is_recorded(self, tmp_path, capsys, monkeypatch,
+                                                  exc):
+        # the mercer row raises everywhere, in the two-point witnesses too:
+        # the run still writes its report, names the error and exits 1
+        import dataclasses
+
+        from grusslab import bounds as bnd
+
+        def boom(_c):
+            raise exc("row failed")
+        rows = tuple(dataclasses.replace(b, rhs=boom) if b.name == "mercer" else b
+                     for b in bnd.BOUNDS)
+        monkeypatch.setattr(bnd, "BOUNDS", rows)
+        out = tmp_path / "r.json"
+        code = main(SMALL_VERIFY + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        payload = json.loads(out.read_text())
+        err = {"error_type": exc.__name__, "message": "row failed"}
+        assert payload["suites"]["sharpness"] == {"pass": False, "error": err}
+        assert payload["pass"] is False
+        assert [e["error_type"] for e in payload["suites"]["bound_sweep"]["block_errors"]] \
+            == [exc.__name__]
+        assert f"suite failed: sharpness error {json.dumps(err, sort_keys=True)}" \
+            in captured.err
+        assert "Traceback" not in captured.err
+
     def test_block_error_alone_prints_no_passing_margin(self, tmp_path, capsys,
                                                         monkeypatch):
         import dataclasses
