@@ -9,8 +9,7 @@ functional.  Window weights are built by multiplicative ratio recurrences
 seeded at the distribution mode, which stays in range where a plain start at
 k=0 would underflow (e.g. exp(-nx) for nx beyond ~745).  Each window is one
 buffer, its up and down chains cumulative products written into it in place,
-and every ratio factor is an exact slice of one read-only index table, so
-the masses have the bits of the same formulas on np.arange.  A window ends
+which give the masses the bits of separate chains joined.  A window ends
 at the first index past the mode where the geometric bound w_K r/(1 - r) on
 the mass left over, r the up ratio at K, is at most the declared tail mass;
 that bound is reported as the tail, not gated.
@@ -166,44 +165,22 @@ def _binomial_weights(n: int, p) -> np.ndarray:
 #: the most nodes a truncation window may reach
 _KCAP = 5_000_000
 
-#: the length of the index table: ratio factors below it are slices of it
-_TABLE_LEN = 1 << 14
-
-
-@functools.cache
-def _index_table() -> np.ndarray:
-    """The read-only floats 0, 1, ..., _TABLE_LEN - 1."""
-    idx = np.arange(float(_TABLE_LEN))
-    idx.flags.writeable = False
-    return idx
-
-
-def _ints(lo: int, hi: int) -> np.ndarray:
-    """The floats lo, lo + 1, ..., hi - 1, each exact: a slice of the index
-    table where it reaches, past it an arange of their own."""
-    if hi <= _TABLE_LEN:
-        return _index_table()[lo:hi]
-    return np.arange(float(lo), float(hi))
-
-
-def _ratio_window(log_wm: float, mode: int, reach: int, c: float, n: int | None,
+def _ratio_window(log_wm: float, mode: int, reach: int, up_ratio, down_ratio,
                   tail_eps: float) -> tuple[np.ndarray, float]:
     """Masses w_0..w_K from the mode weight exp(log_wm) by products of the
     ratios w_{k+1}/w_k and w_{k-1}/w_k, and the tail bound past K.
 
-    The ratios are the Poisson law's of mean c, c/(k + 1) and k/c, when n is
-    None, else the negative binomial's of order n and success parameter c,
-    c (n + k)/(k + 1) and k/(c (n + k - 1)).  Each factor k, k + 1, n + k and
-    n + k - 1 is a slice of :func:`_ints`, so a pass's ratios take one or two
-    array operations and have the bits of the formulas on np.arange.
+    ``up_ratio(lo, hi)`` returns the up ratios w_{k+1}/w_k for k in
+    [lo, hi); ``down_ratio(out)`` writes w_{k-1}/w_k into out[k - 1] for k in
+    1..mode.
 
     K is the first index >= mode whose up ratio r is below 1 and where
     w_K r/(1 - r) <= tail_eps.  Up ratios that never increase past the mode
     make that geometric bound cover all the mass past K, so it is returned as
     the tail; with the masses, which fall past the mode, they also make the
-    bound fall as K grows, so each pass finds K, inline, by bisection.  The
+    bound fall as K grows, so each pass finds K by an inline bisection.  The
     first pass reaches ``reach`` > mode; each later pass goes twice as far as
-    the one before, and the hard cap is checked before its arrays are made.
+    the one before.  The hard cap is checked before a pass's arrays are made.
 
     The masses are built in place in one buffer, sized to the first pass and
     extended for each later one: a pass's up chain is the cumprod of its
@@ -211,48 +188,38 @@ def _ratio_window(log_wm: float, mode: int, reach: int, c: float, n: int | None,
     down chain from the mode is the cumprod of its ratios, in the buffer's
     reversed view, times the mode weight.  Those are the products, in their
     order, of separate cumprods joined by concatenation, so the masses, K and
-    the tail bound do not depend on the buffer.
+    the tail bound do not depend on the buffer.  The masses returned are a
+    view of that buffer, which runs to the end of the last pass.
     """
-    if reach > _KCAP:
-        raise ArithmeticError("truncation window exceeded the hard cap")
-    w = np.empty(reach + 1)
-    w[mode] = wm = math.exp(log_wm)
-    lo, hi = mode, reach
+    wm = math.exp(log_wm)
+    w, lo, hi, start = None, mode, reach, wm
     while True:
-        # r[j] = w_{lo+j+1}/w_{lo+j}
-        if n is None:
-            r = c / _ints(lo + 1, hi + 1)
-        else:
-            r = c * _ints(lo + n, hi + n)
-            r /= _ints(lo + 1, hi + 1)
+        if hi > _KCAP:
+            raise ArithmeticError("truncation window exceeded the hard cap")
+        w = np.empty(hi + 1) if w is None else np.concatenate([w, np.empty(hi - lo)])
+        r = up_ratio(lo, hi)                    # r[j] = w_{lo+j+1}/w_{lo+j}
         up = w[lo + 1:hi + 1]
         np.multiply.accumulate(r, out=up)
-        up *= w[lo]                                    # up[j] = w_{lo+j} r[j]
-        j, end = 0, hi - lo     # the first j with a bound <= tail_eps is in [j, end]
+        up *= start                             # up[j] = w_{lo+j} r[j]
+        # the first j with a bound <= tail_eps is in [j, end]; tail is the bound at end
+        j, end, tail = 0, hi - lo, math.inf
         while j < end:
             mid = (j + end) // 2
             rm = r.item(mid)
-            if (up.item(mid) / (1.0 - rm) if rm < 1.0 else math.inf) <= tail_eps:
-                end = mid
+            bound = up.item(mid) / (1.0 - rm) if rm < 1.0 else math.inf
+            if bound <= tail_eps:
+                end, tail = mid, bound
             else:
                 j = mid + 1
         if j < hi - lo:
             break
-        lo, hi = hi, 3 * hi - 2 * lo
-        if hi > _KCAP:
-            raise ArithmeticError("truncation window exceeded the hard cap")
-        w = np.concatenate([w, np.empty(hi - lo)])
-    if mode:
-        down = w[:mode]                                # down[k-1] = w_{k-1}/w_k
-        if n is None:
-            np.divide(_ints(1, mode + 1), c, out=down)
-        else:
-            np.multiply(c, _ints(n, n + mode), out=down)
-            np.divide(_ints(1, mode + 1), down, out=down)
-        np.multiply.accumulate(down[::-1], out=down[::-1])
-        down *= wm
-    rj = r.item(j)
-    return w[:lo + j + 1], (up.item(j) / (1.0 - rj) if rj < 1.0 else math.inf)
+        lo, hi, start = hi, 3 * hi - 2 * lo, up.item(-1)
+    w[mode] = wm
+    down = w[:mode]                             # down[k-1] = w_{k-1}/w_k
+    down_ratio(down)
+    np.multiply.accumulate(down[::-1], out=down[::-1])
+    down *= wm
+    return w[:lo + j + 1], tail
 
 
 def _poisson_weights(lam: float, tail_eps: float) -> tuple[np.ndarray, float]:
@@ -260,8 +227,14 @@ def _poisson_weights(lam: float, tail_eps: float) -> tuple[np.ndarray, float]:
         return np.array([1.0]), 0.0
     mode = int(lam)
     log_wm = -lam + mode * math.log(lam) - math.lgamma(mode + 1)
+
+    def up_ratio(lo, hi):                       # lam/(k + 1)
+        return lam / np.arange(lo + 1.0, hi + 1.0)
+
+    def down_ratio(out):                        # k/lam
+        np.divide(np.arange(1.0, out.size + 1.0), lam, out=out)
     return _ratio_window(log_wm, mode, int(lam + 12.0 * math.sqrt(lam) + 50.0),
-                         lam, None, tail_eps)
+                         up_ratio, down_ratio, tail_eps)
 
 
 def _negbin_weights(n: int, x: float, tail_eps: float) -> tuple[np.ndarray, float]:
@@ -272,9 +245,18 @@ def _negbin_weights(n: int, x: float, tail_eps: float) -> tuple[np.ndarray, floa
     mode = int((n - 1) * x)
     log_wm = (math.lgamma(n + mode) - math.lgamma(mode + 1) - math.lgamma(n)
               + mode * math.log(p) - n * math.log1p(x))
+
+    def up_ratio(lo, hi):                       # p (n + k)/(k + 1)
+        r = p * np.arange(float(n + lo), float(n + hi))
+        r /= np.arange(lo + 1.0, hi + 1.0)
+        return r
+
+    def down_ratio(out):                        # k/(p (n + k - 1))
+        np.multiply(p, np.arange(float(n), float(n + out.size)), out=out)
+        np.divide(np.arange(1.0, out.size + 1.0), out, out=out)
     return _ratio_window(log_wm, mode,
                          int(mean + 15.0 * math.sqrt(mean * (1.0 + x)) + 60.0),
-                         p, n, tail_eps)
+                         up_ratio, down_ratio, tail_eps)
 
 
 # ---------------------------------------------------------------------------

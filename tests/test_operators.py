@@ -210,21 +210,21 @@ def test_windows_meet_the_tail_contract(family, n, x, tail_eps):
     _check_tail_contract(family, n, x, w, tail, tail_eps)
 
 
-def _scan_ratios(c, n):
-    """The up and down ratios of ``ops._ratio_window``'s law (Poisson of mean
-    c when n is None, else negative binomial of order n and success parameter
-    c), written from their formulas on np.arange, apart from the index table."""
-    if n is None:
-        return (lambda k: c / (k + 1.0)), (lambda k: k / c)
-    return (lambda k: c * (n + k) / (k + 1.0)), (lambda k: k / (c * (n + k - 1.0)))
+def _scan_ratios(family, n, x):
+    """The up and down ratios of the family's law at x, as functions of an
+    array k, written from their formulas apart from the program's."""
+    if family == "szasz":
+        lam = n * x
+        return (lambda k: lam / (k + 1.0)), (lambda k: k / lam)
+    p = x / (1.0 + x)
+    return (lambda k: p * (n + k) / (k + 1.0)), (lambda k: k / (p * (n + k - 1.0)))
 
 
-def _scan_ratio_window(log_wm, mode, reach, c, n, tail_eps):
+def _scan_ratio_window(log_wm, mode, reach, up_ratio, down_ratio, tail_eps):
     """The cut rule as a scan over the whole pass: 1 - r clipped at 0, the
     bound w r/(1 - r) formed at every index, and the first index where it is
     at most tail_eps taken; the pass structure and the masses are the
     program's, each chain a fresh cumprod joined by concatenation."""
-    up_ratio, down_ratio = _scan_ratios(c, n)
     wm = math.exp(log_wm)
     parts, lo, hi = [np.array([wm])], mode, reach
     while True:
@@ -248,23 +248,31 @@ def _scan_ratio_window(log_wm, mode, reach, c, n, tail_eps):
     return np.concatenate(parts), float(bound[j])
 
 
-def _reaches(monkeypatch, family, n, x, tail_eps):
-    """The window, its tail, and the (mode, reach) its builder was given."""
-    seen, window = [], ops._ratio_window
+def _passes(monkeypatch, family, n, x, tail_eps):
+    """The window, its tail, the mode its builder was given, and the (lo, hi)
+    of each pass of up ratios."""
+    seen, passes, window = [], [], ops._ratio_window
 
-    def spy(log_wm, mode, reach, c, order, eps):
-        seen.append((mode, reach))
-        return window(log_wm, mode, reach, c, order, eps)
+    def spy(log_wm, mode, reach, up_ratio, down_ratio, eps):
+        def counted(lo, hi):
+            passes.append((lo, hi))
+            return up_ratio(lo, hi)
+        seen.append(mode)
+        return window(log_wm, mode, reach, counted, down_ratio, eps)
     with monkeypatch.context() as m:
         m.setattr(ops, "_ratio_window", spy)
         w, tail = _ray_window(family, n, x, tail_eps)
-    return w, tail, seen[0]
+    return w, tail, seen[0], passes
 
 
 def _assert_cut_is_the_scan(monkeypatch, family, n, x, tail_eps):
     w, tail = _ray_window(family, n, x, tail_eps)
+    up, down = _scan_ratios(family, n, x)
+
+    def scan(log_wm, mode, reach, _up_ratio, _down_ratio, eps):
+        return _scan_ratio_window(log_wm, mode, reach, up, down, eps)
     with monkeypatch.context() as m:
-        m.setattr(ops, "_ratio_window", _scan_ratio_window)
+        m.setattr(ops, "_ratio_window", scan)
         ref_w, ref_tail = _ray_window(family, n, x, tail_eps)
     assert w.tobytes() == ref_w.tobytes() and tail.hex() == ref_tail.hex(), \
         (family, n, x, tail_eps, w.size, ref_w.size, tail, ref_tail)
@@ -289,18 +297,16 @@ class TestCutByBisection:
 
     def test_a_window_of_two_passes(self, monkeypatch):
         # baskakov:1 at x = 50 has the constant up ratio 50/51; its first
-        # pass ends before the 1e-12 cut, and the second, out to
-        # reach + 2 (reach - mode), reaches it
-        w, _, (mode, reach) = _reaches(monkeypatch, "baskakov", 1, 50.0, 1e-12)
-        assert reach < w.size - 1 <= reach + 2 * (reach - mode)
+        # pass ends before the 1e-12 cut
+        _, _, _, passes = _passes(monkeypatch, "baskakov", 1, 50.0, 1e-12)
+        assert len(passes) == 2
         _assert_cut_is_the_scan(monkeypatch, "baskakov", 1, 50.0, 1e-12)
 
     @pytest.mark.parametrize("family, n, x", [("szasz", 1, 2e5),
                                               ("baskakov", 64, 3000.0)])
-    def test_chains_longer_than_the_index_table(self, monkeypatch, family, n, x):
-        # the factors past the table come from an arange of their own
-        w, _, _ = _reaches(monkeypatch, family, n, x, 1e-12)
-        assert w.size > ops._TABLE_LEN
+    def test_chains_of_thousands_of_nodes(self, monkeypatch, family, n, x):
+        w, _, _, _ = _passes(monkeypatch, family, n, x, 1e-12)
+        assert w.size > 16_000
         _assert_cut_is_the_scan(monkeypatch, family, n, x, 1e-12)
 
     @pytest.mark.parametrize("family, n, x", [("szasz", 1, 0.5), ("szasz", 8, 0.0625),
@@ -308,7 +314,7 @@ class TestCutByBisection:
     def test_windows_from_mode_zero(self, monkeypatch, family, n, x):
         # no down chain: the window starts at the mode weight, w_0, which
         # comes from lgamma and logs within a few ulps
-        w, tail, (mode, _) = _reaches(monkeypatch, family, n, x, 1e-12)
+        w, tail, mode, _ = _passes(monkeypatch, family, n, x, 1e-12)
         assert mode == 0
         w0 = math.exp(-n * x) if family == "szasz" else (1.0 + x) ** -n
         assert w[0] == pytest.approx(w0, rel=1e-14, abs=0)
@@ -320,23 +326,26 @@ class TestCutByBisection:
         w, tail = _ray_window(family, 4, 0.0, 1e-12)
         assert w.tolist() == [1.0] and tail == 0.0
 
-    def test_the_index_table_is_read_only(self):
-        idx = ops._index_table()
-        assert idx.size == ops._TABLE_LEN and not idx.flags.writeable
-        assert idx.tolist() == list(range(ops._TABLE_LEN))
-        assert not ops._ints(3, 40).flags.writeable
-        with pytest.raises(ValueError):
-            ops._ints(0, 8)[0] = 1.0
-
     def test_a_ratio_that_rounds_to_one_is_not_a_cut(self):
-        # the Poisson law of mean 1 from mode 0 has r[0] = 1/1 = 1: no
-        # geometric bound holds there, the scan's clipped divide reads inf,
-        # and the bisection must not divide by 1 - r = 0
-        # at j = 1 the bound 0.25 * 0.5 / (1 - 0.5) = 0.25 is exact: with
-        # tail_eps 0.25 one equals tail_eps
-        for eps in (1e-12, 0.3, 10.0, 0.25):
-            w, tail = ops._ratio_window(math.log(0.25), 0, 40, 1.0, None, eps)
-            ref_w, ref_tail = _scan_ratio_window(math.log(0.25), 0, 40, 1.0, None, eps)
+        # r[0] = 1 has no geometric bound; the scan's clipped divide reads
+        # inf there, and the bisection must not divide by 1 - r = 0
+        def up_ratio(k):
+            r = np.full(k.shape, 0.5)
+            r[k == 0.0] = 1.0
+            return r
+        def none_below(k):       # mode 0: asked for no ratio
+            assert k.size == 0
+            return k
+        def none_written(out):
+            assert out.size == 0
+        # past r[0], the bounds 2^-(j+1) are exact: at 2^-7 one equals tail_eps
+        for eps in (1e-12, 0.3, 10.0, 2.0 ** -7):
+            w, tail = ops._ratio_window(
+                math.log(0.25), 0, 40,
+                lambda lo, hi: up_ratio(np.arange(float(lo), float(hi))),
+                none_written, eps)
+            ref_w, ref_tail = _scan_ratio_window(math.log(0.25), 0, 40, up_ratio,
+                                                 none_below, eps)
             assert w.size >= 2 and w.tobytes() == ref_w.tobytes(), eps
             assert tail.hex() == ref_tail.hex(), eps
 
@@ -709,32 +718,30 @@ class TestInputChecks:
         # masses 0.01 * 0.99^k leave out less than 1e-12 only after about
         # 2,750 terms; the pass that would reach past the cap is never built
         monkeypatch.setattr(ops, "_KCAP", 100)
-        ends, ints = [], ops._ints
+        ends = []
 
-        def spy(lo, hi):
-            ends.append(hi - 1)          # the largest factor a pass reads
-            return ints(lo, hi)
-        monkeypatch.setattr(ops, "_ints", spy)
+        def up_ratio(lo, hi):
+            ends.append(hi)
+            return np.full(hi - lo, 0.99)
         with pytest.raises(ArithmeticError, match="hard cap"):
-            ops._ratio_window(math.log(0.01), 0, 4, 0.99, 1, 1e-12)
+            ops._ratio_window(math.log(0.01), 0, 4, up_ratio, None, 1e-12)
         assert 0 < max(ends) <= 100
 
     def test_truncation_hard_cap_before_any_array(self, monkeypatch):
         # a mode past the cap is refused before a ratio is taken
         monkeypatch.setattr(ops, "_KCAP", 100)
 
-        def never(_lo, _hi):
+        def never(*_):
             raise AssertionError("built a ratio array past the cap")
-        monkeypatch.setattr(ops, "_ints", never)
         with pytest.raises(ArithmeticError, match="hard cap"):
-            ops._ratio_window(0.0, 101, 200, 1.0, 1, 1e-12)
+            ops._ratio_window(0.0, 101, 200, never, never, 1e-12)
 
     def test_truncation_still_extends_a_real_tail(self, monkeypatch):
         # baskakov:1 at x = 25 has a geometric tail of ratio 25/26; past its
-        # first reach it still leaves out about 1e-8, so a second pass runs,
-        # from that reach to reach + 2 (reach - mode)
-        w, tail, (mode, reach) = _reaches(monkeypatch, "baskakov", 1, 25.0, 1e-12)
-        assert reach < w.size - 1 <= reach + 2 * (reach - mode)
+        # first reach it still leaves out about 1e-8, so a second pass runs
+        w, tail, _, passes = _passes(monkeypatch, "baskakov", 1, 25.0, 1e-12)
+        assert len(passes) == 2 and passes[1][0] == passes[0][1]
+        assert passes[0][1] < w.size - 1 <= passes[1][1]
         _check_tail_contract("baskakov", 1, 25.0, w, tail, 1e-12)
 
 
