@@ -1,19 +1,26 @@
 """Golden outputs: what the program printed for fixed inputs, checked in under
 ``tests/golden/`` so that a change that means to move no byte can show it.
 
-Three fixtures, each with the environment stamp it was written under:
+The fixtures, each with the environment stamp it was written under:
 
 - ``default.json``: the report of ``verify`` with its defaults;
 - ``ray.json``: the report of ``verify --families szasz,baskakov``;
+- one fixture per ``verify`` run in ``CLI_REPORTS`` (``small_grid.json``,
+  ``five_families.json``, ``hard_cap.json``): its flags, exit code, stderr
+  and report;
 - ``bounds_mix.json``: a sha256 of every output of the benchmark's seed-1
   mix of ``bounds`` queries (``perfbench/workloads.py``), each query's exit
-  code, stdout and stderr, plus a short digest per query.
+  code, stdout and stderr, plus a short digest per query;
+- ``cli_tables.json``: for each command in ``tables()`` (every ``special``
+  table, ``conjectures``, ``sharpness`` and a ``lagrange`` window), its exit
+  code, stderr and a short digest of each stdout line.
 
 Regenerate them all, after a change that means to move output, with
 
     PYTHONPATH=src python tests/golden_outputs.py
 
-and name in CHANGES.md which keys moved and why.
+It prints every JSON path, query and table line that moved; name those in
+CHANGES.md and say why.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -33,7 +41,27 @@ REGENERATE = "PYTHONPATH=src python tests/golden_outputs.py"
 
 #: the fixtures' report configs, as SuiteConfig fields
 REPORTS = {"default": {}, "ray": {"families": ("szasz", "baskakov")}}
+#: further ``verify`` runs, as flags; hard_cap exits 1 with a block error for
+#: each family, whose windows would pass the node cap
+CLI_REPORTS = {
+    "small_grid": ["--degrees", "1,2,3,5", "--xgrid", "33", "--tail-eps", "1e-9",
+                   "--xmax", "20", "--grid", "301"],
+    "five_families": ["--families", "bernstein,sdelta,szasz,baskakov,lagrange_cheb",
+                      "--degrees", "1,3", "--xgrid", "17", "--grid", "101",
+                      "--conjecture-nmax", "2"],
+    "hard_cap": ["--families", "szasz,baskakov", "--degrees", "64", "--xgrid", "5",
+                 "--xmax", "1e7"],
+}
 MIX_SEED = 1
+
+
+def tables() -> list[list[str]]:
+    """The table commands of ``cli_tables.json``, with their default flags."""
+    from grusslab.cli import _SPECIAL_TABLE
+    return ([["special", "--fn", fn] for fn in sorted(_SPECIAL_TABLE)]
+            + [["special", "--fn", "second_moment", "--family", family]
+               for family in ("bernstein", "sdelta", "king")]
+            + [["conjectures"], ["sharpness"], ["lagrange", "--n", "16", "--window"]])
 
 
 def environment() -> dict:
@@ -55,7 +83,7 @@ def query_mix() -> list:
     return [q for block in workloads.query_mix(MIX_SEED) for q in block]
 
 
-def run_query(argv: list[str]) -> tuple[int, str, str]:
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
     from grusslab.cli import main
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -67,6 +95,24 @@ def query_digest(rc: int, out: str, err: str) -> str:
     return hashlib.sha256(json.dumps([rc, out, err]).encode()).hexdigest()
 
 
+def cli_report_record(name: str) -> dict:
+    """A ``CLI_REPORTS`` fixture: the run's flags, exit code, stderr and report."""
+    argv = CLI_REPORTS[name]
+    rc, out, err = run_cli(["verify", *argv])
+    return {"argv": argv, "exit_code": rc, "stderr": err, "report": json.loads(out)}
+
+
+def line_digest(line: str) -> str:
+    return hashlib.sha256(line.encode()).hexdigest()[:16]
+
+
+def table_record(rc: int, out: str, err: str) -> dict:
+    """A table command's entry in ``cli_tables.json``: its exit code, stderr
+    and a 16-hex digest of each stdout line, which names the lines that moved."""
+    return {"exit_code": rc, "stderr": err,
+            "lines": [line_digest(line) for line in out.splitlines()]}
+
+
 def mix_record(digests: list[str]) -> dict:
     """The fixture body: a sha256 over every query's digest, and the digests
     cut to 16 hex digits, which name the first query that moved."""
@@ -74,41 +120,72 @@ def mix_record(digests: list[str]) -> dict:
     return {"sha256": whole, "queries": [d[:16] for d in digests]}
 
 
-def first_difference(want, got, path: str = "$"):
-    """(path, want, got) at the first place, in key order, where two parsed
-    JSON values differ, or None."""
+def differences(want, got, path: str = "$"):
+    """Each (path, want, got), in key order, where two parsed JSON values
+    differ; a list of another length differs at ``.length`` too."""
     if type(want) is not type(got):
-        return path, want, got
-    if isinstance(want, dict):
+        yield path, want, got
+    elif isinstance(want, dict):
         for key in sorted(set(want) | set(got)):
             if key not in want or key not in got:
-                return f"{path}.{key}", want.get(key, "<absent>"), got.get(key, "<absent>")
-            diff = first_difference(want[key], got[key], f"{path}.{key}")
-            if diff:
-                return diff
-        return None
-    if isinstance(want, list):
+                yield f"{path}.{key}", want.get(key, "<absent>"), got.get(key, "<absent>")
+            else:
+                yield from differences(want[key], got[key], f"{path}.{key}")
+    elif isinstance(want, list):
         for i, (a, b) in enumerate(zip(want, got)):
-            diff = first_difference(a, b, f"{path}[{i}]")
-            if diff:
-                return diff
+            yield from differences(a, b, f"{path}[{i}]")
         if len(want) != len(got):
-            return f"{path}.length", len(want), len(got)
-        return None
-    return None if want == got else (path, want, got)
+            yield f"{path}.length", len(want), len(got)
+    elif want != got:
+        yield path, want, got
+
+
+def first_difference(want, got):
+    """(path, want, got) at the first place where two parsed JSON values
+    differ, or None."""
+    return next(differences(want, got), None)
 
 
 def fixture(name: str) -> dict:
     return json.loads((GOLDEN / f"{name}.json").read_text())
 
 
+def _write(name: str, text: str, item=lambda _path: None) -> None:
+    """Write a fixture, first printing each place where it moved against the
+    one it replaces; where a moved value is a digest, ``item(path)`` names
+    what it digests."""
+    path = GOLDEN / f"{name}.json"
+    if path.exists():
+        for where, want, got in differences(json.loads(path.read_text()), json.loads(text)):
+            note = item(where)
+            print(f"{name}: {where}: {want!r} -> {got!r}" + (f", now {note}" if note else ""))
+    path.write_text(text + "\n")
+
+
 def main() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name in REPORTS:
-        (GOLDEN / f"{name}.json").write_text(report_text(name) + "\n")
-    digests = [query_digest(*run_query(q.argv())) for q in query_mix()]
+        _write(name, report_text(name))
+    for name in CLI_REPORTS:
+        _write(name, json.dumps(cli_report_record(name), indent=1))
+
+    queries = query_mix()
+    digests = [query_digest(*run_cli(q.argv())) for q in queries]
     record = {"environment": environment(), "seed": MIX_SEED, **mix_record(digests)}
-    (GOLDEN / "bounds_mix.json").write_text(json.dumps(record, indent=1) + "\n")
+
+    def query(path):
+        m = re.fullmatch(r"\$\.queries\[(\d+)\]", path)
+        return m and " ".join(queries[int(m[1])].argv())
+    _write("bounds_mix", json.dumps(record, indent=1), query)
+
+    outputs = {" ".join(argv): run_cli(argv) for argv in tables()}
+    record = {"environment": environment(),
+              "commands": {cmd: table_record(*out) for cmd, out in outputs.items()}}
+
+    def line(path):
+        m = re.fullmatch(r"\$\.commands\.(.+)\.lines\[(\d+)\]", path)
+        return m and repr(outputs[m[1]][1].splitlines()[int(m[2])])
+    _write("cli_tables", json.dumps(record, indent=1), line)
     print(f"wrote {', '.join(sorted(p.name for p in GOLDEN.glob('*.json')))}",
           file=sys.stderr)
 

@@ -4,6 +4,7 @@ regenerate them).  A fixture written under another environment stamp fails
 and says so: numpy, scipy or the platform may round differently."""
 
 import json
+import re
 
 import pytest
 
@@ -18,17 +19,21 @@ def _check_environment(want: dict) -> None:
                     f"regenerate with `{golden.REGENERATE}`")
 
 
+def _fail_on_moves(name: str, want, got, item=lambda _path: None) -> None:
+    """Fail naming every place where ``got`` moved from the fixture; where a
+    moved value is a digest, ``item(path)`` names what it digests."""
+    moves = [f"{path}: fixture {a!r}, now {b!r}" + (f" ({item(path)})" if item(path) else "")
+             for path, a, b in golden.differences(want, got)]
+    if moves:
+        pytest.fail(f"{name} moved at {len(moves)} places:\n" + "\n".join(moves))
+
+
 def _check_report(name: str, text: str) -> None:
     want_text = (golden.GOLDEN / f"{name}.json").read_text().rstrip("\n")
     want, got = json.loads(want_text), json.loads(text)
     _check_environment(want["environment"])
-    if text == want_text:
-        return
-    diff = golden.first_difference(want, got)
-    if diff is None:
-        pytest.fail(f"{name} report: same values, different bytes")
-    path, a, b = diff
-    pytest.fail(f"{name} report moved at {path}: fixture {a!r}, now {b!r}")
+    _fail_on_moves(f"{name} report", want, got)
+    assert text == want_text, f"{name} report: same values, different bytes"
 
 
 def test_default_report(default_run):
@@ -39,13 +44,43 @@ def test_ray_report():
     _check_report("ray", golden.report_text("ray"))
 
 
+@pytest.mark.parametrize("name", list(golden.CLI_REPORTS))
+def test_cli_report(name):
+    """Each further ``verify`` run keeps its exit code, stderr and report."""
+    want = golden.fixture(name)
+    _check_environment(want["report"]["environment"])
+    _fail_on_moves(name, want, golden.cli_report_record(name))
+
+
+def test_hard_cap_run_fails_with_both_block_errors():
+    record = golden.fixture("hard_cap")
+    errors = record["report"]["suites"]["bound_sweep"]["block_errors"]
+    assert record["exit_code"] == 1
+    assert [(e["operator"], e["n"]) for e in errors] == [("szasz", 64), ("baskakov", 64)]
+    assert record["stderr"].count("block error: ") == 2
+
+
+def test_cli_tables():
+    """Every table command keeps its exit code, stderr and each stdout line."""
+    want = golden.fixture("cli_tables")
+    _check_environment(want["environment"])
+    outputs = {" ".join(argv): golden.run_cli(argv) for argv in golden.tables()}
+    got = {"environment": want["environment"],
+           "commands": {cmd: golden.table_record(*out) for cmd, out in outputs.items()}}
+
+    def line(path):
+        m = re.fullmatch(r"\$\.commands\.(.+)\.lines\[(\d+)\]", path)
+        return m and f"now {outputs[m[1]][1].splitlines()[int(m[2])]!r}"
+    _fail_on_moves("cli_tables", want, got, line)
+
+
 def test_bounds_mix():
     want = golden.fixture("bounds_mix")
     _check_environment(want["environment"])
     queries = golden.query_mix()
     digests = []
     for q in queries:
-        outputs = golden.run_query(q.argv())
+        outputs = golden.run_cli(q.argv())
         digests.append(golden.query_digest(*outputs))
         i = len(digests) - 1
         if i < len(want["queries"]) and digests[i][:16] != want["queries"][i]:
@@ -63,6 +98,11 @@ def test_a_moved_value_is_named():
         "$.suites.sweep.worst[1].margin", -3.0e-12, -3.5e-12)
     del got["pass"]
     assert golden.first_difference(want, got) == ("$.pass", True, "<absent>")
+    got["suites"]["sweep"]["worst"].append(2.0)
+    assert list(golden.differences(want, got)) == [
+        ("$.pass", True, "<absent>"),
+        ("$.suites.sweep.worst[1].margin", -3.0e-12, -3.5e-12),
+        ("$.suites.sweep.worst.length", 2, 3)]
     assert golden.first_difference(want, want) is None
 
 
