@@ -1,8 +1,12 @@
-"""Scalar special functions behind the oscillation coefficients.
+"""Special functions behind the oscillation coefficients.
 
-Sum-of-squared-weights functions for each family (phi, sigma, theta, psi,
-tau, the e2-reproducing variant), Legendre polynomials, the exponentially
-scaled Bessel I0 and scaled central binomials; ``second_moment`` reads the
+Sum-of-squared-weights functions for each family, each read from one kernel:
+phi (bernstein) and theta (baskakov) sum the squared masses of the binomial
+weight builder, psi (bbh) is phi at t/(1+t), the e2-reproducing variant is
+phi at r_star, and sigma (szasz) is the exponentially scaled Bessel I0 at
+2nx, a power series up to z = 30 and the asymptotic expansion beyond; tau
+(sdelta) is a closed form.  Also Legendre polynomials and the Legendre route
+to phi, and scaled central binomials; ``second_moment`` reads the
 closed-form second moments off the family records.
 """
 
@@ -33,11 +37,25 @@ __all__ = [
 LEGENDRE_EXCLUSION = 1e-3
 
 
-def phi_bernstein(n: int, x: float) -> float:
-    """Sum of squared Bernstein basis values at x; lies in [1/(n+1), 1]."""
+def phi_bernstein(n: int, x):
+    """Sum of squared Bernstein basis values at x, a point or each point of an
+    array x; lies in [1/(n+1), 1].
+
+    The masses come from min(x, 1 - x), so phi_n(x) and phi_n(1 - x) have the
+    same bits wherever 1 - (1 - x) is x.  Scalar and array calls share one
+    body, so each point gets its scalar value bit for bit.
+    """
     _check_degree(n)
-    w = _binomial_weights(n, _check_unit(x))
-    return float(np.dot(w, w))
+    xs = np.asarray(_check_unit(x), dtype=float)
+    pts = xs.reshape(-1)
+    out = _sum_squared_masses(n, np.minimum(pts, 1.0 - pts))
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+
+def _sum_squared_masses(n: int, p: np.ndarray) -> np.ndarray:
+    """Sum of the squared Binomial(n, p) masses, one per entry of a 1-d p."""
+    w = _binomial_weights(n, p)
+    return np.sum(w * w, axis=1)
 
 
 def legendre_P(n: int, y: float) -> float:
@@ -88,9 +106,12 @@ def scaled_bessel_i0(z: float) -> float:
     """exp(-z) I0(z) for z >= 0.
 
     Series with the prefactored term recurrence t_{k+1} = t_k (z/2)^2/(k+1)^2
-    up to z = 30; beyond that, Gauss-Chebyshev quadrature of the integral
-    representation (1/pi) int_-1^1 exp(-z(1+t))/sqrt(1-t^2) dt, which handles
-    large z without overflow or cancellation.
+    up to z = 30; beyond that, the first 20 terms of the asymptotic expansion
+    exp(-z) I0(z) ~ (2 pi z)^(-1/2) sum_k a_k, a_k = a_{k-1} (2k-1)^2/(8kz)
+    (Abramowitz & Stegun 9.7.1), summed smallest first.  From z = 30 on, the
+    first term left out is below 1.1e-19, and the value is within 4.4e-16
+    relative of scipy's i0e up to z = 1e300, at a cost that does not grow
+    with z.
     """
     if _check_ray(z) <= 30.0:
         term = math.exp(-z)
@@ -103,46 +124,17 @@ def scaled_bessel_i0(z: float) -> float:
             k += 1
             if term < 1e-18 * acc and k > 0.5 * z:
                 return acc
-    m = 64 + int(6.0 * math.sqrt(z))
-    theta = (2.0 * np.arange(1, m + 1) - 1.0) * (math.pi / (2.0 * m))
-    return float(np.mean(np.exp(-z * (1.0 + np.cos(theta)))))
+    terms = [1.0]
+    for k in range(1, 20):
+        terms.append(terms[-1] * ((2 * k - 1) ** 2 / (8.0 * k * z)))
+    return sum(reversed(terms)) / math.sqrt(z) / math.sqrt(2.0 * math.pi)
 
 
 def sigma_szasz(n: int, x: float) -> float:
-    """exp(-2nx) * sum (nx)^(2k) / (k!)^2, summed from the peak term outward."""
+    """Sum of the squared Szasz (Poisson) masses at x: exp(-2nx) sum (nx)^(2k)
+    / (k!)^2 = exp(-2nx) I0(2nx), read from :func:`scaled_bessel_i0`."""
     _check_degree(n)
-    z = 2.0 * n * _check_ray(x)
-    if z == 0.0:
-        return 1.0
-    half = 0.5 * z
-    mode = max(int(half), 0)
-    log_tm = -z + 2.0 * mode * math.log(half) - 2.0 * math.lgamma(mode + 1)
-    tm = math.exp(log_tm)
-    acc = tm
-    term = tm
-    k = mode
-    while True:  # upward
-        term *= (half / (k + 1.0)) ** 2
-        acc += term
-        k += 1
-        if term < 1e-18 * acc:
-            break
-    term = tm
-    k = mode
-    while k > 0:  # downward
-        term *= (k / half) ** 2
-        acc += term
-        k -= 1
-        if term < 1e-18 * acc:
-            break
-    return acc
-
-
-def _log_products(ratios: np.ndarray) -> np.ndarray:
-    """log of the running products 1, r_1, r_1 r_2, ... of the ratios, as
-    running sums of their logs; a prefix of a longer array of ratios gives a
-    prefix of the result bit for bit."""
-    return np.concatenate(([0.0], np.cumsum(np.log(ratios))))
+    return scaled_bessel_i0(2.0 * n * _check_ray(x))
 
 
 def theta_baskakov(n: int, x):
@@ -166,20 +158,15 @@ def theta_baskakov(n: int, x):
     xs = np.asarray(_check_ray(x), dtype=float)
     pts = xs.reshape(-1)
     s = 1.0 + 2.0 * pts
-    w = _binomial_weights(n - 1, pts / s)
-    out = np.sum(w * w, axis=1) / s
+    out = _sum_squared_masses(n - 1, pts / s) / s
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def psi_bbh(n: int, t: float) -> float:
-    """sum C(n,k)^2 t^(2k) / (1+t)^(2n); equals phi_n at x = t/(1+t)."""
-    _check_degree(n)
-    if _check_ray(t) == 0.0:
-        return 1.0
-    ks = np.arange(n + 1.0)
-    logc = _log_products((n + 1.0 - ks[1:]) / ks[1:])    # log C(n, k)
-    logs = 2.0 * logc + 2.0 * ks * math.log(t) - 2.0 * n * math.log1p(t)
-    return float(np.sum(np.exp(logs)))
+def psi_bbh(n: int, t):
+    """sum C(n,k)^2 t^(2k) / (1+t)^(2n) at t, a point or each point of an
+    array t: phi_n at x = t/(1+t), read from :func:`phi_bernstein`."""
+    t = _check_ray(t)
+    return phi_bernstein(n, t / (1.0 + t))
 
 
 def tau_hat(n: int, x: float) -> float:
@@ -206,8 +193,8 @@ def second_moment(family: str, n: int, x: float) -> float:
     return fam.second_moment(n, x)
 
 
-def _check_unit(x: float) -> float:
-    if not 0.0 <= x <= 1.0:
+def _check_unit(x):
+    if not np.all(np.less_equal(0.0, x) & np.less_equal(x, 1.0)):
         raise ValueError("argument must lie in [0, 1]")
     return x
 

@@ -55,6 +55,29 @@ class TestPhi:
                 assert v >= lo - 1e-12
                 assert v == pytest.approx(sp.phi_bernstein(n, float(1 - x)), abs=1e-12)
 
+    def test_mirror_point_has_the_same_bits(self):
+        """phi_n(x) and phi_n(1 - x) are computed from the same masses, so on
+        a grid where 1 - (1 - x) is x they have the same bits."""
+        xs = np.linspace(0.0, 1.0, 513)
+        assert np.array_equal(1.0 - (1.0 - xs), xs)
+        for n in range(1, 65):
+            assert sp.phi_bernstein(n, xs).tobytes() == sp.phi_bernstein(n, 1.0 - xs).tobytes(), n
+
+    def test_array_call_gives_each_point_its_scalar_value(self):
+        xs = np.linspace(0.0, 1.0, 41)
+        xs = xs[np.random.default_rng(7).permutation(xs.size)]
+        for n in (1, 2, 3, 16, 37, 64):
+            vals = sp.phi_bernstein(n, xs)
+            assert vals.shape == xs.shape
+            for x, v in zip(xs, vals):
+                assert v == sp.phi_bernstein(n, float(x)), (n, x)
+        assert isinstance(sp.phi_bernstein(3, 0.2), float)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5])
+    def test_bad_point_inside_an_array_raises(self, bad):
+        with pytest.raises(ValueError, match="argument must lie"):
+            sp.phi_bernstein(4, np.array([0.5, bad, 0.2]))
+
     def test_bounds_dense_grid_all_degrees(self):
         from grusslab.verify import _phi_grid
         xs = np.linspace(0, 1, 1001)
@@ -154,8 +177,31 @@ class TestScaledBessel:
         assert all(0 < v <= 1 for v in vals)
 
     def test_vs_scipy(self):
-        for z in (0.1, 1.0, 10.0, 29.0, 31.0, 50.0, 300.0, 6400.0):
-            assert sp.scaled_bessel_i0(z) == pytest.approx(float(i0e(z)), rel=1e-10)
+        """Within 1e-15 relative of scipy's i0e on both sides of the switch
+        from the series to the asymptotic expansion at z = 30."""
+        zs = [0.1, 1.0, 10.0, 29.0, 30.0, math.nextafter(30.0, 31.0), 31.0, 35.0, 50.0,
+              300.0, 800.0, 6400.0, 1e4, 1e6, 1e10, *np.geomspace(1e-3, 1e10, 60)]
+        for z in zs:
+            assert sp.scaled_bessel_i0(float(z)) == pytest.approx(float(i0e(z)), rel=1e-15, abs=0.0), z
+
+    def test_finite_at_the_top_of_the_range(self):
+        for z in (1e16, 1e300, 1.7e308):
+            v = sp.scaled_bessel_i0(z)
+            assert 0.0 < v < math.inf
+            assert v == pytest.approx(float(i0e(z)), rel=1e-15, abs=0.0), z
+
+    def test_work_does_not_grow_with_z(self):
+        """Past z = 30 the value is a fixed number of terms: no array grows
+        with z."""
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            for z in (31.0, 1e10, 1e16, 1e300):
+                tracemalloc.reset_peak()
+                sp.scaled_bessel_i0(z)
+                assert tracemalloc.get_traced_memory()[1] < 4096, z
+        finally:
+            tracemalloc.stop()
 
     def test_vs_integral_oracle(self):
         for z in (35.0, 50.0, 120.0):
@@ -173,9 +219,12 @@ class TestSigma:
             assert sp.sigma_szasz(n, 0.0) == 1.0
 
     def test_matches_bessel(self):
-        for n, x in ((1, 10.0), (2, 50.0), (8, 3.0), (64, 50.0)):
-            assert sp.sigma_szasz(n, x) == pytest.approx(
-                sp.scaled_bessel_i0(2 * n * x), rel=1e-10)
+        """sigma_n(x) = exp(-2nx) I0(2nx): within 1e-15 relative of scipy's
+        i0e(2nx)."""
+        for n in (1, 2, 3, 8, 16, 64):
+            for x in np.linspace(0.0, 50.0, 51):
+                assert sp.sigma_szasz(n, float(x)) == pytest.approx(
+                    float(i0e(2 * n * x)), rel=1e-15, abs=0.0), (n, x)
 
     def test_decay(self):
         assert sp.sigma_szasz(2, 50.0) < 0.05
@@ -183,10 +232,10 @@ class TestSigma:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_matches_sum_of_squared_weights(self):
-        for n, x in ((1, 0.5), (4, 2.0), (16, 10.0)):
+        for n, x in ((1, 0.5), (4, 2.0), (16, 10.0), (2, 8.0), (3, 7.0), (64, 50.0)):
             L = ops.szasz_at(n, x, 1e-14)
             assert sp.sigma_szasz(n, x) == pytest.approx(
-                float(L.weights @ L.weights), abs=1e-11)
+                float(L.weights @ L.weights), rel=1e-13, abs=0.0)
 
 
 class TestTheta:
@@ -299,6 +348,16 @@ class TestPsi:
                 t = float(t)
                 want = sp.phi_bernstein(n, t / (1 + t))
                 assert abs(sp.psi_bbh(n, t) - want) <= 1e-12 * want, (n, t)
+
+    def test_matches_the_exact_sum(self):
+        """Within 1e-14 relative of sum_k C(n, k)^2 t^(2k) / (1+t)^(2n), summed
+        exactly in rationals at the float t."""
+        for n in (1, 2, 3, 9, 16, 32, 64):
+            for t in (1e-6, 0.37, 1.0, 2.5, 10.0, 55.0, 200.0, 1e3, 1e6):
+                q = Fraction(t)
+                want = sum(comb(n, k, exact=True) ** 2 * q ** (2 * k)
+                           for k in range(n + 1)) / (1 + q) ** (2 * n)
+                assert abs(Fraction(sp.psi_bbh(n, t)) / want - 1) <= Fraction(1, 10 ** 14), (n, t)
 
     def test_infimum_is_central_binom(self):
         for n in (1, 4, 16):

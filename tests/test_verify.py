@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grusslab import operators as ops
-from grusslab import verify
+from grusslab import special, verify
 from grusslab.funcspace import uniform_grid
-from grusslab.verify import (SuiteConfig, conjecture_scan, run_suite,
-                             sharpness_suite)
+from grusslab.verify import (CONJECTURE_GRID, SuiteConfig, conjecture_scan,
+                             run_suite, sharpness_suite)
 
 FAST = dict(degrees=(1, 2, 4), x_grid=17, grid_n=201, conjecture_nmax=6)
 
@@ -337,21 +337,31 @@ class TestConjectures:
         computes phi_n on the first half only, and mirrors it onto the
         second with the bits of the direct computation."""
         assert np.array_equal(1.0 - xs, xs[::-1])
-        sizes, direct = [], verify._phi_direct
+        sizes, direct = [], special.phi_bernstein
 
         def spy(n, pts):
             sizes.append(pts.size)
             return direct(n, pts)
-        monkeypatch.setattr(verify, "_phi_direct", spy)
+        monkeypatch.setattr(special, "phi_bernstein", spy)
         for n in range(1, 65):
             assert verify._phi_grid(n, xs).tobytes() == direct(n, xs).tobytes(), n
         assert set(sizes) == {(xs.size + 1) // 2}
 
+    def test_half_point_is_the_kernel_value(self):
+        """The scan reads phi_n(1/2) on its grid from the kernel it compares
+        against, so the gap to the half point is exactly 0 there."""
+        xs = uniform_grid(0.0, 1.0, CONJECTURE_GRID).nodes
+        half = xs.size // 2
+        assert xs[half] == 0.5
+        for n in range(1, 65):
+            assert verify._phi_grid(n, xs)[half] == special.phi_bernstein(n, 0.5), n
+        assert {row["min_gap_to_half"] for row in conjecture_scan(64)} == {0.0}
+
     def test_a_grid_that_is_not_its_mirror_is_computed_whole(self, monkeypatch):
         xs = uniform_grid(0.0, 1.0, 4).nodes     # 1 - 1/3 is not 2/3 in floats
         assert not np.array_equal(1.0 - xs, xs[::-1])
-        sizes, direct = [], verify._phi_direct
-        monkeypatch.setattr(verify, "_phi_direct",
+        sizes, direct = [], special.phi_bernstein
+        monkeypatch.setattr(special, "phi_bernstein",
                             lambda n, pts: sizes.append(pts.size) or direct(n, pts))
         for n in (1, 2, 7):
             verify._phi_grid(n, xs)
