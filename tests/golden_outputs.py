@@ -102,15 +102,25 @@ def cli_report_record(name: str) -> dict:
     return {"argv": argv, "exit_code": rc, "stderr": err, "report": json.loads(out)}
 
 
-def line_digest(line: str) -> str:
-    return hashlib.sha256(line.encode()).hexdigest()[:16]
+def table_outputs() -> dict:
+    """Each ``tables()`` command, spaced, -> its (exit code, stdout, stderr)."""
+    return {" ".join(argv): run_cli(argv) for argv in tables()}
 
 
-def table_record(rc: int, out: str, err: str) -> dict:
-    """A table command's entry in ``cli_tables.json``: its exit code, stderr
-    and a 16-hex digest of each stdout line, which names the lines that moved."""
-    return {"exit_code": rc, "stderr": err,
-            "lines": [line_digest(line) for line in out.splitlines()]}
+def tables_record(outputs: dict) -> dict:
+    """``cli_tables.json``: per command its exit code, stderr and a 16-hex
+    digest of each stdout line, which names the lines that moved."""
+    return {"environment": environment(),
+            "commands": {cmd: {"exit_code": rc, "stderr": err,
+                               "lines": [hashlib.sha256(line.encode()).hexdigest()[:16]
+                                         for line in out.splitlines()]}
+                         for cmd, (rc, out, err) in outputs.items()}}
+
+
+def table_line(outputs: dict, path: str) -> str | None:
+    """The new stdout line a ``cli_tables.json`` path names, quoted, or None."""
+    m = re.fullmatch(r"\$\.commands\.(.+)\.lines\[(\d+)\]", path)
+    return m and repr(outputs[m[1]][1].splitlines()[int(m[2])])
 
 
 def mix_record(digests: list[str]) -> dict:
@@ -150,15 +160,21 @@ def fixture(name: str) -> dict:
     return json.loads((GOLDEN / f"{name}.json").read_text())
 
 
+def moves(want, got, item=lambda _path: None) -> list[str]:
+    """One line per place where ``got`` moved from ``want``: the path and both
+    values, and where the value is a digest, ``item(path)``, what it now
+    digests."""
+    return [f"{path}: {a!r} -> {b!r}" + (f", now {note}" if (note := item(path)) else "")
+            for path, a, b in differences(want, got)]
+
+
 def _write(name: str, text: str, item=lambda _path: None) -> None:
     """Write a fixture, first printing each place where it moved against the
-    one it replaces; where a moved value is a digest, ``item(path)`` names
-    what it digests."""
+    one it replaces."""
     path = GOLDEN / f"{name}.json"
     if path.exists():
-        for where, want, got in differences(json.loads(path.read_text()), json.loads(text)):
-            note = item(where)
-            print(f"{name}: {where}: {want!r} -> {got!r}" + (f", now {note}" if note else ""))
+        for line in moves(json.loads(path.read_text()), json.loads(text), item):
+            print(f"{name}: {line}")
     path.write_text(text + "\n")
 
 
@@ -178,14 +194,9 @@ def main() -> None:
         return m and " ".join(queries[int(m[1])].argv())
     _write("bounds_mix", json.dumps(record, indent=1), query)
 
-    outputs = {" ".join(argv): run_cli(argv) for argv in tables()}
-    record = {"environment": environment(),
-              "commands": {cmd: table_record(*out) for cmd, out in outputs.items()}}
-
-    def line(path):
-        m = re.fullmatch(r"\$\.commands\.(.+)\.lines\[(\d+)\]", path)
-        return m and repr(outputs[m[1]][1].splitlines()[int(m[2])])
-    _write("cli_tables", json.dumps(record, indent=1), line)
+    outputs = table_outputs()
+    _write("cli_tables", json.dumps(tables_record(outputs), indent=1),
+           lambda path: table_line(outputs, path))
     print(f"wrote {', '.join(sorted(p.name for p in GOLDEN.glob('*.json')))}",
           file=sys.stderr)
 

@@ -4,7 +4,6 @@ regenerate them).  A fixture written under another environment stamp fails
 and says so: numpy, scipy or the platform may round differently."""
 
 import json
-import re
 
 import pytest
 
@@ -20,12 +19,11 @@ def _check_environment(want: dict) -> None:
 
 
 def _fail_on_moves(name: str, want, got, item=lambda _path: None) -> None:
-    """Fail naming every place where ``got`` moved from the fixture; where a
-    moved value is a digest, ``item(path)`` names what it digests."""
-    moves = [f"{path}: fixture {a!r}, now {b!r}" + (f" ({item(path)})" if item(path) else "")
-             for path, a, b in golden.differences(want, got)]
-    if moves:
-        pytest.fail(f"{name} moved at {len(moves)} places:\n" + "\n".join(moves))
+    """Fail naming every place where ``got`` moved from the fixture."""
+    moved = golden.moves(want, got, item)
+    if moved:
+        pytest.fail(f"{name} moved at {len(moved)} places (fixture -> now):\n"
+                    + "\n".join(moved))
 
 
 def _check_report(name: str, text: str) -> None:
@@ -64,14 +62,9 @@ def test_cli_tables():
     """Every table command keeps its exit code, stderr and each stdout line."""
     want = golden.fixture("cli_tables")
     _check_environment(want["environment"])
-    outputs = {" ".join(argv): golden.run_cli(argv) for argv in golden.tables()}
-    got = {"environment": want["environment"],
-           "commands": {cmd: golden.table_record(*out) for cmd, out in outputs.items()}}
-
-    def line(path):
-        m = re.fullmatch(r"\$\.commands\.(.+)\.lines\[(\d+)\]", path)
-        return m and f"now {outputs[m[1]][1].splitlines()[int(m[2])]!r}"
-    _fail_on_moves("cli_tables", want, got, line)
+    outputs = golden.table_outputs()
+    _fail_on_moves("cli_tables", want, golden.tables_record(outputs),
+                   lambda path: golden.table_line(outputs, path))
 
 
 def test_bounds_mix():
