@@ -182,7 +182,8 @@ class TestScaledBessel:
         zs = [0.1, 1.0, 10.0, 29.0, 30.0, math.nextafter(30.0, 31.0), 31.0, 35.0, 50.0,
               300.0, 800.0, 6400.0, 1e4, 1e6, 1e10, *np.geomspace(1e-3, 1e10, 60)]
         for z in zs:
-            assert sp.scaled_bessel_i0(float(z)) == pytest.approx(float(i0e(z)), rel=1e-15, abs=0.0), z
+            assert sp.scaled_bessel_i0(float(z)) == pytest.approx(
+                float(i0e(z)), rel=1e-15, abs=0.0), z
 
     def test_finite_at_the_top_of_the_range(self):
         for z in (1e16, 1e300, 1.7e308):
